@@ -20,9 +20,7 @@ from .core import (
     ModuleVector,
     ShapeMismatchError,
     format_rational,
-    lex_rank,
     parse_rational,
-    unrank,
 )
 
 PARSE_ERROR, SHAPE_ERROR, INFEASIBLE, CAPACITY = 2, 3, 4, 5
@@ -73,21 +71,16 @@ def _candidate_tiers(result: voting.RankingScores) -> list:
     return [sorted(x.rows[0][0] for x in tier) for tier in result.tiers]
 
 
-def _ranking_scores(scores: ModuleVector) -> dict:
+def _ranking_scores(result: voting.RankingScores) -> dict:
+    # tiers run from the highest distinct score down and cover every ranking
+    values = sorted(set(result.scores.to_list()), reverse=True)
     return {
-        str(unrank(scores.shape, r)): format_rational(v)
-        for r, v in enumerate(scores.to_list())
+        str(x): format_rational(v) for v, tier in zip(values, result.tiers) for x in tier
     }
 
 
 def _ranking_tiers(result: voting.RankingScores) -> list:
-    return [
-        [str(x) for x in sorted(tier, key=lex_rank)] for tier in result.tiers
-    ]
-
-
-def _sorted_winners(result: voting.RankingScores) -> list:
-    return [str(x) for x in sorted(result.winners, key=lex_rank)]
+    return [[str(x) for x in tier] for tier in result.tiers]
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +113,8 @@ def _srsf_report(name: str, profile: voting.Profile, result: voting.RankingScore
         "command": name,
         "n": profile.n,
         "voter_total": format_rational(profile.voter_total),
-        "scores": _ranking_scores(result.scores),
-        "winners": _sorted_winners(result),
+        "scores": _ranking_scores(result),
+        "winners": [str(x) for x in result.tiers[0]],
         "tiers": _ranking_tiers(result),
     }
     if args.approx:
@@ -147,11 +140,9 @@ def cmd_family(args):
 def cmd_decompose(args):
     profile = _load_profile(args.ballots)
     f = profile.counts
-    projections = specht.kemeny_eigenprojections(profile.n)
     parts = {}
     rest = f
-    for i, proj in enumerate(projections):
-        comp = proj(f)
+    for i, comp in enumerate(specht.spectral_components(f)):
         parts[f"eigen{i}"] = comp
         rest = rest - comp
     parts["residual"] = rest
@@ -340,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     shared.add_argument("--output", default=None, help="write the report here instead of stdout")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized runs (echoed; commands are deterministic)")
     shared.add_argument("--approx", action="store_true",
                         help="add 12-significant-digit float renditions, labeled *_approx")
 
@@ -414,8 +403,6 @@ def main(argv=None) -> int:
         return PARSE_ERROR if exc.code else 0
     try:
         report, table = args.handler(args)
-        if args.seed is not None:
-            report["seed"] = args.seed
         _emit(_render(report, table, args), args)
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

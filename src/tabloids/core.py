@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -32,8 +32,10 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "enumerate_tabloids",
+    "iter_words",
     "lex_rank",
     "unrank",
+    "unrank_word",
     "act_tabloid",
     "act_vector",
     "inner_product",
@@ -132,10 +134,7 @@ class Composition:
 
     def tabloid_count(self) -> int:
         """|X^shape| = n! / (prod of part factorials)."""
-        num = factorial(self.n)
-        for p in self.parts:
-            num //= factorial(p)
-        return num
+        return _multinomial(self.parts)
 
     def __iter__(self):
         return iter(self.parts)
@@ -212,11 +211,7 @@ class Tabloid:
     def first(cls, shape: ShapeLike) -> "Tabloid":
         """The lexicographically first tabloid: 1..n filled row by row."""
         shape = as_composition(shape)
-        rows, start = [], 1
-        for p in shape.parts:
-            rows.append(range(start, start + p))
-            start += p
-        return cls(rows)
+        return _tabloid(shape.parts, range(1, shape.n + 1))
 
     @property
     def n(self) -> int:
@@ -324,21 +319,34 @@ class Permutation:
 # Enumeration and lexicographic ranking
 
 
-def _remaining_count(total: int, parts: Sequence[int]) -> int:
-    """Number of tabloids with the given row sizes over `total` symbols."""
-    num = factorial(total)
+def _multinomial(parts: Sequence[int]) -> int:
+    """Number of tabloids with the given row sizes: (sum parts)! / prod(part!)."""
+    num = factorial(sum(parts))
     for p in parts:
         num //= factorial(p)
     return num
 
 
-def enumerate_tabloids(shape: ShapeLike, limit: int | None = None) -> list:
-    """All tabloids of the shape, in lexicographic order of their words.
+def _tabloid(parts: Sequence[int], word: Sequence[int]) -> Tabloid:
+    """The tabloid whose rows, read top to bottom, spell `word`."""
+    return Tabloid(word[end - p : end] for p, end in zip(parts, accumulate(parts)))
 
-    The order compares the ascending-row representatives read top to bottom,
-    so the first element is always the tabloid filled with 1..n row by row.
-    Raises CapacityError if the count exceeds `limit` (default
-    ENUMERATION_LIMIT).
+
+def _rest_words(avail: tuple, parts: tuple) -> Iterator[tuple]:
+    if len(parts) == 1:
+        yield avail
+        return
+    for head in combinations(avail, parts[0]):
+        rest = tuple(v for v in avail if v not in head)
+        yield from (head + tail for tail in _rest_words(rest, parts[1:]))
+
+
+def iter_words(shape: ShapeLike, limit: int | None = None) -> Iterator[tuple]:
+    """The word of every tabloid of the shape, in lexicographic rank order.
+
+    A word is the rows, each ascending, read top to bottom; words compare
+    lexicographically, so the first is 1..n.  Raises CapacityError at once
+    if the count exceeds `limit` (default ENUMERATION_LIMIT).
     """
     shape = as_composition(shape)
     cap = ENUMERATION_LIMIT if limit is None else limit
@@ -347,20 +355,19 @@ def enumerate_tabloids(shape: ShapeLike, limit: int | None = None) -> list:
         raise CapacityError(
             f"|X^{shape.parts}| = {count} exceeds enumeration limit {cap}"
         )
+    if shape.is_full_ranking():
+        return permutations(range(1, shape.n + 1))
+    return _rest_words(tuple(range(1, shape.n + 1)), shape.parts)
 
-    out = []
 
-    def build(avail: tuple, parts: tuple, prefix: tuple):
-        if not parts:
-            out.append(Tabloid(prefix))
-            return
-        for head in combinations(avail, parts[0]):
-            head_set = set(head)
-            rest = tuple(v for v in avail if v not in head_set)
-            build(rest, parts[1:], prefix + (head,))
+def enumerate_tabloids(shape: ShapeLike, limit: int | None = None) -> list:
+    """All tabloids of the shape, in the lexicographic order of iter_words.
 
-    build(tuple(range(1, shape.n + 1)), shape.parts, ())
-    return out
+    Raises CapacityError if the count exceeds `limit` (default
+    ENUMERATION_LIMIT).
+    """
+    shape = as_composition(shape)
+    return [_tabloid(shape.parts, word) for word in iter_words(shape, limit)]
 
 
 def _combination_rank(avail: Sequence[int], subset: Sequence[int]) -> int:
@@ -377,18 +384,14 @@ def _combination_rank(avail: Sequence[int], subset: Sequence[int]) -> int:
 
 
 def _combination_unrank(avail: Sequence[int], k: int, rank: int) -> tuple:
-    out, start = [], 0
-    a = len(avail)
+    out, q, a = [], 0, len(avail)
     for t in range(k):
-        q = start
-        while True:
-            c = comb(a - q - 1, k - t - 1)
-            if rank < c:
-                break
+        # skip the subsets whose t-th element is avail[q]
+        while rank >= (c := comb(a - q - 1, k - t - 1)):
             rank -= c
             q += 1
         out.append(avail[q])
-        start = q + 1
+        q += 1
     return tuple(out)
 
 
@@ -396,35 +399,32 @@ def lex_rank(x: Tabloid) -> int:
     """Position of x in the lexicographic listing of its shape (0-based)."""
     shape = x.shape
     avail = list(range(1, shape.n + 1))
-    remaining = shape.n
     rank = 0
     for i, row in enumerate(x.rows):
-        remaining -= len(row)
-        completions = _remaining_count(remaining, shape.parts[i + 1 :])
-        rank += _combination_rank(avail, row) * completions
-        row_set = set(row)
-        avail = [v for v in avail if v not in row_set]
+        rank += _combination_rank(avail, row) * _multinomial(shape.parts[i + 1 :])
+        avail = [v for v in avail if v not in row]
     return rank
 
 
-def unrank(shape: ShapeLike, rank: int) -> Tabloid:
-    """Inverse of lex_rank for the given shape."""
+def unrank_word(shape: ShapeLike, rank: int) -> tuple:
+    """The word (rows concatenated top to bottom) of the tabloid at `rank`."""
     shape = as_composition(shape)
     total = shape.tabloid_count()
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range for |X^{shape.parts}| = {total}")
     avail = list(range(1, shape.n + 1))
-    remaining = shape.n
-    rows = []
+    word = []
     for i, k in enumerate(shape.parts):
-        remaining -= k
-        completions = _remaining_count(remaining, shape.parts[i + 1 :])
-        c, rank = divmod(rank, completions)
+        c, rank = divmod(rank, _multinomial(shape.parts[i + 1 :]))
         row = _combination_unrank(avail, k, c)
-        rows.append(row)
-        row_set = set(row)
-        avail = [v for v in avail if v not in row_set]
-    return Tabloid(rows)
+        word.extend(row)
+        avail = [v for v in avail if v not in row]
+    return tuple(word)
+
+
+def unrank(shape: ShapeLike, rank: int) -> Tabloid:
+    """Inverse of lex_rank for the given shape."""
+    return _tabloid(as_composition(shape).parts, unrank_word(shape, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -671,16 +671,6 @@ def act_vector(sigma: Permutation, f: ModuleVector) -> ModuleVector:
 # Group-algebra reindexing for full rankings
 
 
-def permutation_to_tabloid(sigma: Permutation) -> Tabloid:
-    """The full ranking with sigma(i) in row i."""
-    return Tabloid.from_ranking(sigma.images)
-
-
-def tabloid_to_permutation(x: Tabloid) -> Permutation:
-    """Inverse of permutation_to_tabloid."""
-    return Permutation(x.to_ranking())
-
-
 def to_group_algebra(f: ModuleVector) -> dict:
     """Reindex a full-ranking vector by the permutation moving 1..n into place.
 
@@ -689,10 +679,7 @@ def to_group_algebra(f: ModuleVector) -> dict:
     """
     if not f.shape.is_full_ranking():
         raise ShapeMismatchError("group-algebra form needs a full-ranking shape")
-    return {
-        tabloid_to_permutation(unrank(f.shape, rank)): val
-        for rank, val in f.support()
-    }
+    return {Permutation(unrank_word(f.shape, rank)): val for rank, val in f.support()}
 
 
 def from_group_algebra(n: int, values: Mapping) -> ModuleVector:
@@ -701,7 +688,7 @@ def from_group_algebra(n: int, values: Mapping) -> ModuleVector:
     for sigma, val in values.items():
         if sigma.n != n:
             raise ShapeMismatchError("permutation size differs from n")
-        data[lex_rank(permutation_to_tabloid(sigma))] = as_fraction(val)
+        data[lex_rank(Tabloid.from_ranking(sigma.images))] = as_fraction(val)
     return ModuleVector(shape, data)
 
 

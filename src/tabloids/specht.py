@@ -38,6 +38,7 @@ __all__ = [
     "kemeny_eigenvalues",
     "borda_gram_eigenvalues",
     "kemeny_eigenprojections",
+    "spectral_components",
     "effective_space",
     "subspaces_equal",
     "subspaces_intersect_trivially",
@@ -233,6 +234,41 @@ def borda_gram_eigenvalues(n: int) -> tuple:
     return (b0, b1)
 
 
+def _t0(f: ModuleVector) -> ModuleVector:
+    return ModuleVector.constant(f.shape, f.sum_values() / f.size)
+
+
+def _t1(f: ModuleVector, t0f: ModuleVector) -> ModuleVector:
+    """T1 f = (B*B f - beta0 T0 f) / beta1, with one Borda Gram application B*B."""
+    from . import voting
+
+    borda = voting.borda_weights(f.shape.n)
+    beta0, beta1 = borda_gram_eigenvalues(f.shape.n)
+    gram = voting.tally_adjoint(borda, voting.tally_scores(borda, f))
+    return (gram - t0f * beta0) / beta1
+
+
+def spectral_components(f: ModuleVector) -> tuple:
+    """(T0 f, T1 f, T2 f): f split over the eigenspaces of the Kemeny operator K.
+
+    Applies the Borda Gram operator once and K once, T2 f being
+    (K f - k0 T0 f - k1 T1 f) / k2.  For n = 2 only (T0 f, T1 f) exist.
+    """
+    from . import voting
+
+    n = f.shape.n
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not f.shape.is_full_ranking():
+        raise ShapeMismatchError(f"need full rankings, got shape {f.shape.parts}")
+    t0f = _t0(f)
+    t1f = _t1(f, t0f)
+    if n == 2:
+        return (t0f, t1f)
+    k0, k1, k2 = kemeny_eigenvalues(n)
+    return (t0f, t1f, (voting.kemeny_operator_apply(f) - t0f * k0 - t1f * k1) / k2)
+
+
 @lru_cache(maxsize=32)
 def kemeny_eigenprojections(n: int) -> tuple:
     """Orthogonal projections onto the eigenspaces of the Kemeny operator.
@@ -241,39 +277,15 @@ def kemeny_eigenprojections(n: int) -> tuple:
     full-ranking space: T0 projects onto constants, T1 onto the Borda-visible
     deviation component, T2 onto the extra pairwise component.  For n = 2
     only (T0, T1) exist.  All three are built matrix-free from the tally and
-    pairs operators, so they scale to any n those operators handle.
+    pairs operators, so they scale to any n those operators handle; for all
+    components of one vector, spectral_components shares the work.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    from . import voting
-
     shape = full_ranking_shape(n)
-    size = factorial(n)
-
-    def t0_apply(f: ModuleVector) -> ModuleVector:
-        return ModuleVector.constant(shape, f.sum_values() / size)
-
-    t0 = LinearMap(shape, shape, t0_apply, t0_apply, name="T0")
-
-    borda = voting.borda_weights(n)
-    beta0, beta1 = borda_gram_eigenvalues(n)
-
-    def t1_apply(f: ModuleVector) -> ModuleVector:
-        gram = voting.tally_adjoint(borda, voting.tally_scores(borda, f))
-        return (gram - t0_apply(f) * beta0) / beta1
-
-    t1 = LinearMap(shape, shape, t1_apply, t1_apply, name="T1")
-    if n == 2:
-        return (t0, t1)
-
-    k0, k1, k2 = kemeny_eigenvalues(n)
-
-    def t2_apply(f: ModuleVector) -> ModuleVector:
-        kf = voting.kemeny_operator_apply(f)
-        return (kf - t0_apply(f) * k0 - t1_apply(f) * k1) / k2
-
-    t2 = LinearMap(shape, shape, t2_apply, t2_apply, name="T2")
-    return (t0, t1, t2)
+    applies = (_t0, lambda f: _t1(f, _t0(f)), lambda f: spectral_components(f)[2])
+    return tuple(LinearMap(shape, shape, fn, fn, name=f"T{i}")
+                 for i, fn in enumerate(applies[: 2 if n == 2 else 3]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Positional tallies, ranking scoring functions, and the pairs/Kemeny family.
 
 Candidates are labeled 1..n.  A ballot profile is a nonnegative-integer
-vector over full-ranking tabloids; every operator here also accepts an
-arbitrary exact-rational vector on the same space.  All operators are
-matrix-free appliers (cost O(n * n!) for tallies, O(n^2 * n!) for the pairs
-family); explicit matrices exist only on demand for small n.
+vector over the tabloids of one shape; every operator here also accepts an
+arbitrary exact-rational vector on the same space.  The operators are
+matrix-free and work on tabloid words in integers: a tally costs O(n) and
+the pairs map O(n^2) per support entry, their adjoints as much per tabloid
+of the domain.  Explicit matrices exist only on demand for small n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg, specht
@@ -25,12 +27,14 @@ from .core import (
     as_composition,
     as_fraction,
     act_vector,
-    cached_tabloids,
     candidate_shape,
+    enumerate_tabloids,
     full_ranking_shape,
+    iter_words,
     lex_rank,
     pair_shape,
-    unrank,
+    parse_rational,
+    unrank_word,
 )
 from .specht import LinearMap
 
@@ -101,7 +105,8 @@ class Profile:
                 raise ShapeMismatchError(
                     f"ballot {x} has shape {x.shape.parts}, expected {shape.parts}"
                 )
-            acc[lex_rank(x)] = acc.get(lex_rank(x), 0) + int(count)
+            rank = lex_rank(x)
+            acc[rank] = acc.get(rank, 0) + int(count)
         return cls(ModuleVector(shape, acc))
 
     @property
@@ -190,19 +195,20 @@ def antiplurality_weights(n: int) -> WeightingVector:
 
 
 class RankingScores:
-    """Scores plus the derived winner set and tie-aware ordinal tiers."""
+    """Scores plus the derived winner set and tie-aware ordinal tiers.
+
+    `tiers[k]` holds the tabloids with the k-th highest distinct score, in
+    lexicographic rank order, so every tabloid of the shape is in one tier.
+    """
 
     __slots__ = ("scores", "winners", "tiers")
 
     def __init__(self, scores: ModuleVector):
         dense = scores.to_list()
         by_value: dict = {}
-        for r, v in enumerate(dense):
-            by_value.setdefault(v, []).append(r)
-        tiers = tuple(
-            tuple(unrank(scores.shape, r) for r in by_value[v])
-            for v in sorted(by_value, reverse=True)
-        )
+        for x, v in zip(enumerate_tabloids(scores.shape), dense):
+            by_value.setdefault(v, []).append(x)
+        tiers = tuple(tuple(by_value[v]) for v in sorted(by_value, reverse=True))
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "tiers", tiers)
         object.__setattr__(self, "winners", frozenset(tiers[0]) if tiers else frozenset())
@@ -243,12 +249,12 @@ def _row_weights(w, shape) -> list:
     """Resolve the per-row weight list for a tally over the given shape."""
     m = len(shape.parts)
     if isinstance(w, WeightingVector):
-        if w.n != shape.n or m != shape.n:
-            if m != shape.n:
-                raise ShapeMismatchError(
-                    f"a WeightingVector scores full rankings; shape {shape.parts} "
-                    f"has {m} rows, pass a {m}-entry weight sequence instead"
-                )
+        if m != shape.n:
+            raise ShapeMismatchError(
+                f"a WeightingVector scores full rankings; shape {shape.parts} "
+                f"has {m} rows, pass a {m}-entry weight sequence instead"
+            )
+        if w.n != shape.n:
             raise ShapeMismatchError(
                 f"weighting vector is for n={w.n}, data has n={shape.n}"
             )
@@ -261,21 +267,36 @@ def _row_weights(w, shape) -> list:
     return ws
 
 
+def _scaled(values) -> tuple:
+    """(d, [v * d for v in values]) with d the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _unscaled(shape, acc: list, d: int) -> ModuleVector:
+    """Divide an operator's integer result by the product d of its inputs' scales."""
+    return ModuleVector(shape, [Fraction(a, d) for a in acc])
+
+
+def _position_weights(weights: list, shape) -> list:
+    """The row weight of each position of a word of the shape."""
+    return [wj for wj, p in zip(weights, shape.parts) for _ in range(p)]
+
+
 def tally_scores(w, f: VectorLike) -> ModuleVector:
     """Per-candidate points: candidate i earns f(x) * w_(row of i in x)."""
     vec = as_vector(f)
     shape = vec.shape
     n = shape.n
-    weights = _row_weights(w, shape)
-    scores = [Fraction(0)] * n
-    for rank, val in vec.support():
-        x = unrank(shape, rank)
-        for row_idx, row in enumerate(x.rows):
-            wj = weights[row_idx]
-            if wj:
-                for e in row:
-                    scores[e - 1] += val * wj
-    return ModuleVector(candidate_shape(n), scores)
+    dw, weights = _scaled(_row_weights(w, shape))
+    support = vec.support()
+    df, vals = _scaled([v for _, v in support])
+    pos_w = _position_weights(weights, shape)
+    scores = [0] * (n + 1)
+    for (rank, _), val in zip(support, vals):
+        for e, wj in zip(unrank_word(shape, rank), pos_w):
+            scores[e] += val * wj
+    return _unscaled(candidate_shape(n), scores[1:], dw * df)
 
 
 def tally_adjoint(w, scores: ModuleVector, shape: ShapeLike | None = None) -> ModuleVector:
@@ -284,18 +305,12 @@ def tally_adjoint(w, scores: ModuleVector, shape: ShapeLike | None = None) -> Mo
     shape = full_ranking_shape(n) if shape is None else as_composition(shape)
     if shape.n != n:
         raise ShapeMismatchError(f"shape {shape.parts} does not match n={n}")
-    weights = _row_weights(w, shape)
-    h = scores.to_list()
-    out = []
-    for x in cached_tabloids(shape.parts):
-        acc = Fraction(0)
-        for row_idx, row in enumerate(x.rows):
-            wj = weights[row_idx]
-            if wj:
-                for e in row:
-                    acc += wj * h[e - 1]
-        out.append(acc)
-    return ModuleVector(shape, out)
+    dw, weights = _scaled(_row_weights(w, shape))
+    dh, h = _scaled(scores.to_list())
+    pos_w = _position_weights(weights, shape)
+    h_of = [0, *h].__getitem__
+    out = [sum(map(mul, pos_w, map(h_of, word))) for word in iter_words(shape)]
+    return _unscaled(shape, out, dw * dh)
 
 
 def positional_tally(w, f: VectorLike) -> RankingScores:
@@ -360,7 +375,7 @@ def srsf_apply(z: ModuleVector, f: VectorLike) -> RankingScores:
         raise ShapeMismatchError("template and data sizes differ")
     total = ModuleVector.zero(shape)
     for rank, val in vec.support():
-        sigma = Permutation(unrank(shape, rank).to_ranking())
+        sigma = Permutation(unrank_word(shape, rank))
         total = total + act_vector(sigma, z) * val
     return RankingScores(total)
 
@@ -385,11 +400,9 @@ def kendall_score_vector(n: int) -> ModuleVector:
     Feeding this to srsf_apply reproduces the Kemeny rule.
     """
     shape = full_ranking_shape(n)
-    x0 = Tabloid.first(shape)
-    top = comb(n, 2)
-    return ModuleVector(
-        shape, [top - kendall_tau(x, x0) for x in cached_tabloids(shape.parts)]
-    )
+    return ModuleVector(shape, [
+        sum(a < b for i, a in enumerate(w) for b in w[i + 1 :]) for w in iter_words(shape)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +422,12 @@ def pair_unrank(rank: int, n: int) -> tuple:
     return (i + 1, j + 1)
 
 
+def _pair_table(n: int) -> list:
+    """table[i][j] = pair_rank(i, j, n) for candidates i != j, else 0."""
+    return [[pair_rank(i, j, n) if i and j and i != j else 0 for j in range(n + 1)]
+            for i in range(n + 1)]
+
+
 def pairs_map(f: VectorLike) -> ModuleVector:
     """Catalogue, per ordered pair (i, j), the weight of rankings with i over j."""
     vec = as_vector(f)
@@ -418,14 +437,17 @@ def pairs_map(f: VectorLike) -> ModuleVector:
     n = shape.n
     if n < 2:
         raise ValueError("pairs map needs n >= 2")
-    out: dict = {}
-    for rank, val in vec.support():
-        word = unrank(shape, rank).to_ranking()
-        for a in range(n):
-            for b in range(a + 1, n):
-                pr = pair_rank(word[a], word[b], n)
-                out[pr] = out.get(pr, Fraction(0)) + val
-    return ModuleVector(pair_shape(n), out)
+    table = _pair_table(n)
+    support = vec.support()
+    d, vals = _scaled([v for _, v in support])
+    out = [0] * (n * (n - 1))
+    for (rank, _), val in zip(support, vals):
+        word = unrank_word(shape, rank)
+        for a, i in enumerate(word):
+            row = table[i]
+            for j in word[a + 1 :]:
+                out[row[j]] += val
+    return _unscaled(pair_shape(n), out, d)
 
 
 def pairs_map_adjoint(g: ModuleVector) -> ModuleVector:
@@ -435,17 +457,15 @@ def pairs_map_adjoint(g: ModuleVector) -> ModuleVector:
         raise ShapeMismatchError(
             f"expected pair shape {pair_shape(n).parts}, got {g.shape.parts}"
         )
-    dense = g.to_list()
+    d, dense = _scaled(g.to_list())
+    # over[i][j]: the value of the pair (i, j), i over j
+    over = [[dense[r] for r in row] for row in _pair_table(n)]
     shape = full_ranking_shape(n)
-    out = []
-    for x in cached_tabloids(shape.parts):
-        word = x.to_ranking()
-        acc = Fraction(0)
-        for a in range(n):
-            for b in range(a + 1, n):
-                acc += dense[pair_rank(word[a], word[b], n)]
-        out.append(acc)
-    return ModuleVector(shape, out)
+    out = [
+        sum(sum(map(over[i].__getitem__, word[a + 1 :])) for a, i in enumerate(word))
+        for word in iter_words(shape)
+    ]
+    return _unscaled(shape, out, d)
 
 
 def pairs_operator(n: int) -> LinearMap:
@@ -486,8 +506,8 @@ def family_apply(gamma: Sequence, f: VectorLike) -> RankingScores:
     if n < 3:
         raise ValueError("the spectral family needs n >= 3")
     g0, g1, g2 = (as_fraction(g) for g in gamma)
-    t0, t1, t2 = specht.kemeny_eigenprojections(n)
-    return RankingScores(t0(vec) * g0 + t1(vec) * g1 + t2(vec) * g2)
+    t0f, t1f, t2f = specht.spectral_components(vec)
+    return RankingScores(t0f * g0 + t1f * g1 + t2f * g2)
 
 
 def borda_srsf_apply(w, f: VectorLike) -> RankingScores:
@@ -569,15 +589,13 @@ def construct_profile(ws: Sequence, targets: Sequence[ModuleVector], *,
         raise ValueError("weighting vectors must be linearly independent")
 
     shape = full_ranking_shape(n)
-    tabloids = cached_tabloids(shape.parts)
     rows = []
     rhs = []
     for h, r in zip(hats, targets):
         weights = h.to_list()
-        dense_target = r.to_list()
-        for i in range(1, n + 1):
-            rows.append([weights[x.row_of(i)] for x in tabloids])
-            rhs.append(dense_target[i - 1])
+        # one row per candidate i: the weight of i's position in each ranking
+        rows += [[weights[w.index(i)] for w in iter_words(shape)] for i in range(1, n + 1)]
+        rhs += r.to_list()
     solution, nullity = linalg.solve_linear(rows, rhs)
     if solution is None:
         raise RuntimeError("joint tally system unexpectedly inconsistent")
@@ -619,9 +637,11 @@ def profile_from_json_dict(data: Mapping) -> Profile:
     for idx, entry in enumerate(ballots):
         try:
             ranking = entry["ranking"]
-            count = int(entry.get("count", 1))
-        except (KeyError, TypeError, ValueError) as exc:
+            count = entry.get("count", 1)
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"bad ballot #{idx}: {exc}") from None
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(f"bad ballot #{idx}: count {count!r} is not an integer")
         if count < 0:
             raise ValueError(f"bad ballot #{idx}: negative count {count}")
         pairs.append((Tabloid(ranking), count))
@@ -660,4 +680,6 @@ def weighting_from_json_dict(data: Mapping, allow_unsorted: bool = False) -> Wei
         raw = data["weights"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad weighting file: {exc}") from None
-    return WeightingVector([as_fraction(v) for v in raw], allow_unsorted=allow_unsorted)
+    if not isinstance(raw, list):
+        raise ValueError(f"bad weighting file: weights must be a list, got {raw!r}")
+    return WeightingVector([parse_rational(v) for v in raw], allow_unsorted=allow_unsorted)

@@ -19,6 +19,7 @@ from tabloids.core import (
     enumerate_tabloids,
     from_group_algebra,
     inner_product,
+    iter_words,
     lex_rank,
     parse_rational,
     format_rational,
@@ -26,6 +27,7 @@ from tabloids.core import (
     sort_rows_to_partition,
     to_group_algebra,
     unrank,
+    unrank_word,
 )
 
 
@@ -78,6 +80,20 @@ def test_enumerate_matches_brute_oracle():
     for parts in [(1, 1, 1), (2, 2), (1, 2), (2, 1), (3, 2), (1, 2, 1), (2, 1, 2)]:
         got = [x.rows for x in enumerate_tabloids(parts)]
         assert got == brute_tabloids(parts), parts
+
+
+def test_words_match_brute_oracle():
+    for parts in [(1, 1, 1, 1), (2, 2), (1, 3), (3, 1), (2, 1, 2), (1, 2, 1), (4,), (1,)]:
+        want = [tuple(e for row in rows for e in row) for rows in brute_tabloids(parts)]
+        assert list(iter_words(parts)) == want, parts
+        assert [unrank_word(parts, r) for r in range(len(want))] == want, parts
+    with pytest.raises(ValueError):
+        unrank_word((2, 2), 6)
+    # the capacity check runs when the iterator is made, not when it is read
+    with pytest.raises(CapacityError):
+        iter_words((1,) * 11)
+    with pytest.raises(CapacityError):
+        iter_words((2, 2), limit=5)
 
 
 def test_tabloid_count_is_multinomial():

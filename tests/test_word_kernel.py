@@ -1,0 +1,184 @@
+"""The integer word kernel of the voting operators against the Tabloid loops it replaced.
+
+Inputs are seeded random rationals with negative values and non-unit
+denominators; every comparison is an exact equality with the oracle in
+voting_oracles.py.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+import voting_oracles as oracle
+
+from tabloids import core, linalg, specht, voting
+from tabloids.cli import main
+from tabloids.core import Composition, ModuleVector, full_ranking_shape, pair_shape
+
+SIZES = range(2, 8)
+
+
+def rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+
+
+def random_vector(rng, shape, support=None):
+    """Random rational vector; `support` caps the number of nonzero ranks."""
+    shape = core.as_composition(shape)
+    size = shape.tabloid_count()
+    ranks = rng.sample(range(size), min(size, support or size))
+    values = {r: rational(rng) for r in ranks}
+    values[ranks[0]] = Fraction(-7, 3)  # one negative, non-integral entry
+    return ModuleVector(shape, values)
+
+
+def tally_shapes(n):
+    shapes = [full_ranking_shape(n), Composition((1, n - 1))]
+    if n >= 3:
+        shapes.append(Composition((2, n - 2)))
+    return shapes
+
+
+def row_weights(rng, shape):
+    return [rational(rng) for _ in shape.parts]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_tally_scores_matches_oracle(n):
+    rng = random.Random(100 + n)
+    for shape in tally_shapes(n):
+        w = row_weights(rng, shape)
+        f = random_vector(rng, shape, support=400)
+        assert voting.tally_scores(w, f) == oracle.tally_scores(w, f)
+    w = voting.WeightingVector(row_weights(rng, full_ranking_shape(n)), allow_unsorted=True)
+    f = random_vector(rng, full_ranking_shape(n), support=400)
+    assert voting.tally_scores(w, f) == oracle.tally_scores(w, f)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_tally_adjoint_matches_oracle(n):
+    rng = random.Random(200 + n)
+    for shape in tally_shapes(n):
+        w = row_weights(rng, shape)
+        h = random_vector(rng, (1, n - 1))
+        assert voting.tally_adjoint(w, h, shape) == oracle.tally_adjoint(w, h, shape)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_pairs_map_and_adjoint_match_oracle(n):
+    rng = random.Random(300 + n)
+    f = random_vector(rng, full_ranking_shape(n), support=400)
+    assert voting.pairs_map(f) == oracle.pairs_map(f)
+    g = random_vector(rng, pair_shape(n))
+    assert voting.pairs_map_adjoint(g) == oracle.pairs_map_adjoint(g)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kemeny_operator_matches_oracle(n):
+    rng = random.Random(400 + n)
+    f = random_vector(rng, full_ranking_shape(n), support=400)
+    assert voting.kemeny_operator_apply(f) == oracle.kemeny_operator_apply(f)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_spectral_family_matches_oracle(n):
+    rng = random.Random(500 + n)
+    f = random_vector(rng, full_ranking_shape(n), support=200)
+    components = oracle.spectral_components(f)
+    assert specht.spectral_components(f) == components
+    if n < 3:
+        with pytest.raises(ValueError):
+            voting.family_apply((1, 1, 1), f)
+        return
+    gamma = [rational(rng) for _ in range(3)]
+    t0f, t1f, t2f = components
+    want = t0f * gamma[0] + t1f * gamma[1] + t2f * gamma[2]
+    assert voting.family_apply(gamma, f).scores == want
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_construct_profile_matches_oracle(n):
+    rng = random.Random(600 + n)
+    rules = min(n - 1, 2)
+    while True:
+        ws = [voting.WeightingVector([rational(rng) for _ in range(n)], allow_unsorted=True)
+              for _ in range(rules)]
+        hats = [w.hat() for w in ws]
+        if linalg.rank([h.to_list() for h in hats]) == rules:
+            break
+    targets = [specht.project_mean(random_vector(rng, (1, n - 1)))[1] for _ in range(rules)]
+    built = voting.construct_profile(ws, targets)
+    solution, nullity = oracle.construct_profile_system(hats, targets)
+    assert built.solution == ModuleVector(full_ranking_shape(n), solution)
+    assert built.affine_dimension == nullity
+
+
+def test_forward_operators_on_sparse_support_past_enumeration_limit():
+    rng = random.Random(12)
+    shape = full_ranking_shape(12)
+    assert shape.tabloid_count() > core.ENUMERATION_LIMIT
+    f = random_vector(rng, shape, support=25)
+    w = row_weights(rng, shape)
+    assert voting.tally_scores(w, f) == oracle.tally_scores(w, f)
+    assert voting.pairs_map(f) == oracle.pairs_map(f)
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+SPECTRAL_OPERATORS = ("tally_scores", "tally_adjoint", "kemeny_operator_apply",
+                      "pairs_map", "pairs_map_adjoint")
+
+
+def test_family_apply_runs_gram_and_kemeny_once(monkeypatch):
+    f = random_vector(random.Random(7), full_ranking_shape(4))
+    counts = _count_calls(monkeypatch, voting, SPECTRAL_OPERATORS)
+    voting.family_apply((1, 2, 3), f)
+    assert counts == dict.fromkeys(SPECTRAL_OPERATORS, 1)
+
+
+def test_cli_decompose_runs_gram_and_kemeny_once(monkeypatch, tmp_path, capsys):
+    ballots = tmp_path / "b.json"
+    ballots.write_text(json.dumps({"n": 4, "ballots": [
+        {"ranking": [[1], [2], [3], [4]], "count": 3},
+        {"ranking": [[4], [1], [3], [2]], "count": 2},
+    ]}), encoding="utf-8")
+    counts = _count_calls(monkeypatch, voting, SPECTRAL_OPERATORS)
+    assert main(["decompose", str(ballots)]) == 0
+    assert counts == dict.fromkeys(SPECTRAL_OPERATORS, 1)
+    assert json.loads(capsys.readouterr().out)["command"] == "decompose"
+
+
+def test_operators_build_no_tabloids(monkeypatch):
+    rng = random.Random(9)
+    n = 5
+    shape = full_ranking_shape(n)
+    f = random_vector(rng, shape)
+    h = random_vector(rng, (1, n - 1))
+    g = random_vector(rng, pair_shape(n))
+    ws = [voting.borda_weights(n), voting.plurality_weights(n)]
+    targets = [specht.project_mean(random_vector(rng, (1, n - 1)))[1] for _ in ws]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the word kernel must not build tabloids")
+
+    monkeypatch.setattr(core.Tabloid, "__init__", forbidden)
+    for module in (core, voting):
+        for name in ("unrank", "cached_tabloids"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    voting.tally_scores(voting.borda_weights(n), f)
+    voting.tally_adjoint([1, 0, 0, 0, -1], h, shape)
+    voting.pairs_map(f)
+    voting.pairs_map_adjoint(g)
+    voting.construct_profile(ws, targets, integer_profile=True)
