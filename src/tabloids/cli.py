@@ -278,6 +278,8 @@ def cmd_game_analyze(args):
         coeffs = games.marginal_to_coefficients(m)
     else:
         raise ValueError("game-analyze needs --coeffs or --marginal")
+    # before the O(n^3) fit: self_dual_check refuses more than MAX_PLAYERS players
+    self_dual = games.self_dual_check(coeffs)
     fit, exact = games.fit_marginal(coeffs)
     report = {
         "command": "game-analyze",
@@ -286,7 +288,7 @@ def cmd_game_analyze(args):
         "efficient": games.efficiency_check(coeffs),
         "efficiency_criterion": "all average-share coefficients zero except the grand one, which is 1",
         "marginal": {"exact": exact, "m": fit.to_json_dict()["m"]},
-        "self_dual": games.self_dual_check(coeffs),
+        "self_dual": self_dual,
     }
     table = [
         ("property", "verdict"),

@@ -31,6 +31,7 @@ __all__ = [
     "as_fraction",
     "parse_rational",
     "format_rational",
+    "expect_json",
     "enumerate_tabloids",
     "iter_words",
     "lex_rank",
@@ -94,6 +95,19 @@ def parse_rational(text) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse rational from {text!r}") from None
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def expect_json(value, kind: type, what: str):
+    """Return a value read from JSON if it is of the given kind (int, list or dict).
+
+    Anything else raises ValueError naming `what`; booleans are not integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def format_rational(value: Fraction):
@@ -642,8 +656,9 @@ class ModuleVector:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ModuleVector":
         try:
-            shape = Composition(data["shape"])
-            raw = data.get("values", {})
+            parts = expect_json(data["shape"], list, "shape")
+            shape = Composition(expect_json(p, int, "shape entry") for p in parts)
+            raw = expect_json(data.get("values", {}), dict, "values")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad module-vector object: {exc}") from None
         values = {int(r): parse_rational(v) for r, v in raw.items()}

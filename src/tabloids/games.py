@@ -8,8 +8,8 @@ whose top row is the coalition, which makes the per-size level spaces
 literal tabloid spaces.
 
 Linear symmetric solution concepts are coordinatized by the per-level
-average-share and membership-deviation maps; the coefficient vectors make
-efficiency, marginality, and self-duality mechanical to check.
+average-share and membership-deviation maps, both read from one scan of the
+game; efficiency and self-duality are closed-form criteria on the coefficients.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (
     ShapeMismatchError,
     as_fraction,
     candidate_shape,
+    expect_json,
     format_rational,
     parse_rational,
 )
@@ -227,31 +228,45 @@ def act_game(sigma: Permutation, v: Game) -> Game:
 # Basis maps for linear symmetric solution concepts
 
 
+def _level_sums(v: Game) -> tuple:
+    """Per coalition size, the total worth and each player's membership sum.
+
+    One scan of the game: totals[k] sums v(S) over the coalitions with
+    |S| = k, and members[k][i] sums it over those that contain player i+1.
+    """
+    n = v.n
+    totals = [Fraction(0)] * (n + 1)
+    members = [[Fraction(0)] * n for _ in range(n + 1)]
+    for mask, val in v.items():
+        k = mask.bit_count()
+        totals[k] += val
+        row = members[k]
+        for i in range(n):
+            if mask >> i & 1:
+                row[i] += val
+    return totals, members
+
+
+def _deviations(n: int, k: int, sums: tuple) -> list:
+    """The t1k payoffs: membership sum less C(n-1,k-1) times the mean, over C(n-2,k-1)."""
+    totals, members = sums
+    expected = comb(n - 1, k - 1) * totals[k] / comb(n, k)
+    out = [(s - expected) / comb(n - 2, k - 1) for s in members[k]]
+    if sum(out) != 0:
+        raise RuntimeError("deviation payoffs failed the sum-zero postcondition")
+    return out
+
+
 def level_average(v: Game, k: int) -> Fraction:
     """Mean worth over all size-k coalitions."""
     if not 1 <= k <= v.n:
         raise ValueError(f"coalition size {k} out of range 1..{v.n}")
-    total = sum(
-        (val for mask, val in v.items() if mask.bit_count() == k), Fraction(0)
-    )
-    return total / comb(v.n, k)
+    return _level_sums(v)[0][k] / comb(v.n, k)
 
 
 def t0k_apply(v: Game, k: int) -> ModuleVector:
     """Every player receives a 1/k share of the size-k average worth."""
     return ModuleVector.constant(candidate_shape(v.n), level_average(v, k) / k)
-
-
-def _deviation_sums(v: Game, k: int) -> list:
-    avg = level_average(v, k)
-    sums = [Fraction(0)] * v.n
-    for mask in level_masks(v.n, k):
-        d = v.value(mask) - avg
-        if d:
-            for i in range(1, v.n + 1):
-                if mask & (1 << (i - 1)):
-                    sums[i - 1] += d
-    return sums
 
 
 def t1k_apply(v: Game, k: int) -> ModuleVector:
@@ -264,11 +279,7 @@ def t1k_apply(v: Game, k: int) -> ModuleVector:
         raise ValueError(
             f"membership deviation needs 1 <= k <= n-1, got k={k} for n={n}"
         )
-    gamma = comb(n - 2, k - 1)
-    out = ModuleVector(candidate_shape(n), [s / gamma for s in _deviation_sums(v, k)])
-    if out.sum_values() != 0:
-        raise RuntimeError("deviation payoffs failed the sum-zero postcondition")
-    return out
+    return ModuleVector(candidate_shape(n), _deviations(n, k, _level_sums(v)))
 
 
 def t1k_adjoint(h: ModuleVector, n: int, k: int) -> ModuleVector:
@@ -364,14 +375,13 @@ def solution_apply(c: SolutionCoefficients, v: Game) -> ModuleVector:
     if c.n != v.n:
         raise ShapeMismatchError(f"coefficients are for n={c.n}, game has n={v.n}")
     n = v.n
-    out = ModuleVector.zero(candidate_shape(n))
-    for k in range(1, n + 1):
-        if c.c0[k - 1]:
-            out = out + t0k_apply(v, k) * c.c0[k - 1]
-    for k in range(1, n):
-        if c.c1[k - 1]:
-            out = out + t1k_apply(v, k) * c.c1[k - 1]
-    return out
+    sums = _level_sums(v)
+    share = sum(c0 * sums[0][k] / (k * comb(n, k)) for k, c0 in enumerate(c.c0, 1))
+    out = [share] * n
+    for k, c1 in enumerate(c.c1, 1):
+        if c1:
+            out = [x + c1 * d for x, d in zip(out, _deviations(n, k, sums))]
+    return ModuleVector(candidate_shape(n), out)
 
 
 def shapley_coefficients(n: int) -> SolutionCoefficients:
@@ -411,17 +421,12 @@ def marginal_apply(m: MarginalWeights, v: Game) -> ModuleVector:
     if m.n != v.n:
         raise ShapeMismatchError(f"weights are for n={m.n}, game has n={v.n}")
     n = v.n
+    totals, members = _level_sums(v)
+    ext = m.m + (0,)
     out = [Fraction(0)] * n
-    for mask, val in v.items():
-        size = mask.bit_count()
-        w_in = m.m[size - 1]
-        w_out = m.m[size] if size < n else Fraction(0)
-        for i in range(n):
-            if mask & (1 << i):
-                if w_in:
-                    out[i] += w_in * val
-            elif w_out:
-                out[i] -= w_out * val
+    for k in range(1, n + 1):
+        for i, inside in enumerate(members[k]):
+            out[i] += ext[k - 1] * inside - ext[k] * (totals[k] - inside)
     return ModuleVector(candidate_shape(n), out)
 
 
@@ -470,36 +475,30 @@ def fit_marginal(c: SolutionCoefficients) -> tuple:
 
 def dual_game(v: Game) -> Game:
     """The dual: a coalition gets what the grand coalition loses without it."""
-    grand = v.grand_value()
-    full = v.full_mask
-    values = {}
-    for mask in range(1, full + 1):
-        val = grand - v.value(full ^ mask)
-        if val:
-            values[mask] = val
-    return Game(v.n, values)
+    grand, full = v.grand_value(), v.full_mask
+    # Game drops the zero worths itself
+    return Game(v.n, {mask: grand - v.value(full ^ mask) for mask in range(1, full + 1)})
 
 
 def self_dual_check(phi: Union[SolutionCoefficients, MarginalWeights]) -> bool:
-    """Whether the solution concept ignores dualization, on a spanning set.
+    """Whether the solution concept pays every game and its dual alike.
 
-    Checked semantically on all single-coalition basis games, which suffices
-    by linearity.
+    Read off the coefficients in O(n), as t1_k(v*) = t1_{n-k}(v) and
+    avg_j(v*) = v(N) - avg_{n-j}(v): c1[k-1] == c1[n-k-1] for 1 <= k <= n-1
+    and c0[j-1]/j == -c0[n-j-1]/(n-j) for 1 <= j <= n-1.
     """
     if isinstance(phi, MarginalWeights):
-        apply = lambda v: marginal_apply(phi, v)
-        n = phi.n
-    elif isinstance(phi, SolutionCoefficients):
-        apply = lambda v: solution_apply(phi, v)
-        n = phi.n
-    else:
+        phi = marginal_to_coefficients(phi)
+    elif not isinstance(phi, SolutionCoefficients):
         raise TypeError(
             f"expected SolutionCoefficients or MarginalWeights, got {type(phi).__name__}"
         )
-    for e in basis_games(n):
-        if apply(dual_game(e)) != apply(e):
-            return False
-    return True
+    n, c0, c1 = phi.n, phi.c0, phi.c1
+    if n > MAX_PLAYERS:
+        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
+    return all(c1[k - 1] == c1[n - k - 1] for k in range(1, n)) and all(
+        c0[j - 1] / j == -c0[n - j - 1] / (n - j) for j in range(1, n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +524,14 @@ class LevelDecomposition:
 def decompose_game(v: Game) -> dict:
     """Per coalition size, split the game into average/deviation/kernel parts."""
     n = v.n
+    sums = _level_sums(v)
     out = {}
     for k in range(1, n + 1):
         level = v.level_vector(k)
-        avg_part = ModuleVector.constant(level_shape(n, k), level_average(v, k))
+        avg_part = ModuleVector.constant(level_shape(n, k), sums[0][k] / comb(n, k))
         if k <= n - 1:
-            dev_part = t1k_adjoint(t1k_apply(v, k), n, k) / u1_projection_scale(n, k)
+            h = ModuleVector(candidate_shape(n), _deviations(n, k, sums))
+            dev_part = t1k_adjoint(h, n, k) / u1_projection_scale(n, k)
         else:
             dev_part = ModuleVector.zero(level_shape(n, k))
         out[k] = LevelDecomposition(avg_part, dev_part, level - avg_part - dev_part)
@@ -548,8 +549,8 @@ def game_from_json_dict(data: Mapping) -> Game:
     in); missing coalitions are worth 0.
     """
     try:
-        n = int(data["n"])
-        raw = data.get("v", {})
+        n = expect_json(data["n"], int, "n")
+        raw = expect_json(data.get("v", {}), dict, "v")
         values = {int(mask): parse_rational(val) for mask, val in raw.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad game file: {exc}") from None
@@ -559,8 +560,8 @@ def game_from_json_dict(data: Mapping) -> Game:
 def coefficients_from_json_dict(data: Mapping) -> SolutionCoefficients:
     """Coefficient file: {"c0": ["0","0","1"], "c1": ["1/2","1/2"]}."""
     try:
-        c0 = [parse_rational(v) for v in data["c0"]]
-        c1 = [parse_rational(v) for v in data["c1"]]
+        c0 = [parse_rational(v) for v in expect_json(data["c0"], list, "c0")]
+        c1 = [parse_rational(v) for v in expect_json(data["c1"], list, "c1")]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad coefficient file: {exc}") from None
     return SolutionCoefficients(tuple(c0), tuple(c1))
@@ -569,7 +570,7 @@ def coefficients_from_json_dict(data: Mapping) -> SolutionCoefficients:
 def marginal_from_json_dict(data: Mapping) -> MarginalWeights:
     """Marginal file: {"m": ["1/3","1/6","1/3"]}."""
     try:
-        m = [parse_rational(v) for v in data["m"]]
+        m = [parse_rational(v) for v in expect_json(data["m"], list, "m")]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad marginal file: {exc}") from None
     return MarginalWeights(tuple(m))

@@ -27,6 +27,7 @@ from .core import (
     as_composition,
     as_fraction,
     act_vector,
+    expect_json,
     candidate_shape,
     enumerate_tabloids,
     full_ranking_shape,
@@ -626,9 +627,10 @@ def construct_profile(ws: Sequence, targets: Sequence[ModuleVector], *,
 def profile_from_json_dict(data: Mapping) -> Profile:
     """Ballot file: {"n": 3, "shape": [1,1,1], "ballots": [{"ranking": [[1],[2],[3]], "count": 2}, ...]}."""
     try:
-        n = int(data["n"])
-        shape = as_composition(data.get("shape", (1,) * n))
-        ballots = data["ballots"]
+        n = expect_json(data["n"], int, "n")
+        parts = expect_json(data.get("shape", [1] * n), list, "shape")
+        shape = as_composition(expect_json(p, int, "shape entry") for p in parts)
+        ballots = expect_json(data["ballots"], list, "ballots")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad ballot file: {exc}") from None
     if shape.n != n:
@@ -636,15 +638,17 @@ def profile_from_json_dict(data: Mapping) -> Profile:
     pairs = []
     for idx, entry in enumerate(ballots):
         try:
-            ranking = entry["ranking"]
+            ranking = expect_json(entry["ranking"], list, "ranking")
+            rows = [expect_json(row, list, "ranking row") for row in ranking]
+            rows = [[expect_json(e, int, "ranking entry") for e in row] for row in rows]
             count = entry.get("count", 1)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad ballot #{idx}: {exc}") from None
         if isinstance(count, bool) or not isinstance(count, int):
             raise ValueError(f"bad ballot #{idx}: count {count!r} is not an integer")
         if count < 0:
             raise ValueError(f"bad ballot #{idx}: negative count {count}")
-        pairs.append((Tabloid(ranking), count))
+        pairs.append((Tabloid(rows), count))
     return Profile.from_ballots(shape, pairs)
 
 

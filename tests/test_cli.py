@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from tabloids import games
 from tabloids.cli import main
 
 TIE_BALLOTS = {
@@ -230,6 +233,76 @@ def test_exit_code_float_weights(tmp_path, capsys):
         assert main(["tally", ballots, "--weights", weights]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_one_line_parse_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_exit_code_non_integer_ballot_n(tmp_path, capsys):
+    # "n" must be a JSON integer: 3.7 used to be cut to 3 and tallied
+    for n in (3.7, 3.0, True, "3"):
+        ballots = write_json(tmp_path / "b.json", dict(TIE_BALLOTS, n=n))
+        assert_one_line_parse_error(capsys, ["tally", ballots])
+
+
+def test_exit_code_non_integer_game_n(tmp_path, capsys):
+    # "n": true used to read as n=1, and 3.7 as n=3
+    for n in (3.7, 3.0, True, "3"):
+        game = write_json(tmp_path / "g.json", dict(GLOVE_GAME, n=n))
+        assert_one_line_parse_error(capsys, ["game-solve", "--game", game])
+
+
+BAD_CONTAINERS = {
+    "game-v-list": ("game", {"n": 3, "v": [1, 2]}),
+    "game-v-null": ("game", {"n": 3, "v": None}),
+    "target-values-list": ("target", {"shape": [1, 2], "values": [1, 0, -1]}),
+    "target-shape-string": ("target", {"shape": "12", "values": {"0": 1, "1": -1}}),
+    "ranking-int": ("ballots", {"n": 3, "ballots": [{"ranking": 5}]}),
+    "ranking-flat": ("ballots", {"n": 3, "ballots": [{"ranking": [1, 2, 3]}]}),
+    "ranking-float": ("ballots", {"n": 3, "ballots": [{"ranking": [[1.5], [2], [3]]}]}),
+    "ballots-int": ("ballots", {"n": 3, "ballots": 5}),
+    "shape-string": ("ballots", dict(TIE_BALLOTS, shape="111")),
+    "c0-string": ("coeffs", {"c0": "123", "c1": ["1/2", "1/2"]}),
+    "c1-string": ("coeffs", {"c0": ["0", "0", "1"], "c1": "45"}),
+    "m-string": ("marginal", {"m": "121"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONTAINERS))
+def test_exit_code_malformed_container(tmp_path, capsys, case):
+    # each of these ended in a traceback, or was read one character at a time
+    kind, data = BAD_CONTAINERS[case]
+    path = write_json(tmp_path / "bad.json", data)
+    game = write_json(tmp_path / "g.json", GLOVE_GAME)
+    weights = write_json(tmp_path / "w.json", {"weights": ["1", "0", "0"]})
+    argv = {
+        "game": ["game-solve", "--game", path],
+        "target": ["construct-profile", "--weights", weights, "--target", path],
+        "ballots": ["tally", path],
+        "coeffs": ["game-solve", "--game", game, "--coeffs", path],
+        "marginal": ["game-solve", "--game", game, "--marginal", path],
+    }[kind]
+    assert_one_line_parse_error(capsys, argv)
+
+
+def test_game_analyze_too_many_players(tmp_path, capsys, monkeypatch):
+    def shapley_file(n):
+        data = {"c0": ["0"] * (n - 1) + ["1"], "c1": [f"1/{n - 1}"] * (n - 1)}
+        return write_json(tmp_path / f"c{n}.json", data)
+
+    assert main(["game-analyze", "--coeffs", shapley_file(17)]) == 2
+    assert capsys.readouterr().err == "error: player count must be in 1..16, got 17\n"
+
+    # refused before the O(n^3) marginal fit, so a large concept cannot hang
+    def refuse(c):
+        raise AssertionError("fit_marginal ran on an oversized concept")
+
+    monkeypatch.setattr(games, "fit_marginal", refuse)
+    assert main(["game-analyze", "--coeffs", shapley_file(200)]) == 2
+    assert capsys.readouterr().err == "error: player count must be in 1..16, got 200\n"
 
 
 def test_exit_code_shape_mismatch(tmp_path, capsys):
