@@ -30,6 +30,7 @@ from .core import (
     from_group_algebra,
     inner_product,
     lex_rank,
+    linear_combination,
     to_group_algebra,
     unrank,
 )

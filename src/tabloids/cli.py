@@ -20,6 +20,7 @@ from .core import (
     ModuleVector,
     ShapeMismatchError,
     format_rational,
+    linear_combination,
     parse_rational,
 )
 
@@ -32,6 +33,8 @@ def _load_json_file(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_profile(path: str) -> voting.Profile:
@@ -102,10 +105,7 @@ def cmd_tally(args):
     }
     if args.approx:
         report["scores_approx"] = _approx_map(report["scores"])
-    table = [("candidate", "score")] + [
-        (i + 1, format_rational(v)) for i, v in enumerate(result.scores.to_list())
-    ]
-    return report, table
+    return report, [("candidate", "score")] + list(report["scores"].items())
 
 
 def _srsf_report(name: str, profile: voting.Profile, result: voting.RankingScores, args):
@@ -140,25 +140,20 @@ def cmd_family(args):
 def cmd_decompose(args):
     profile = _load_profile(args.ballots)
     f = profile.counts
-    parts = {}
-    rest = f
-    for i, comp in enumerate(specht.spectral_components(f)):
-        parts[f"eigen{i}"] = comp
-        rest = rest - comp
-    parts["residual"] = rest
+    comps = specht.spectral_components(f)
+    parts = {f"eigen{i}": comp for i, comp in enumerate(comps)}
+    parts["residual"] = linear_combination(f.shape, [(1, f), *((-1, c) for c in comps)])
+    norms = {k: format_rational(v.norm2()) for k, v in parts.items()}
     report = {
         "command": "decompose",
         "n": profile.n,
         "voter_total": format_rational(profile.voter_total),
         "components": {k: v.to_json_dict() for k, v in parts.items()},
-        "norm2": {k: format_rational(v.norm2()) for k, v in parts.items()},
+        "norm2": norms,
     }
     if args.approx:
-        report["norm2_approx"] = _approx_map(report["norm2"])
-    table = [("component", "norm2")] + [
-        (k, format_rational(v.norm2())) for k, v in parts.items()
-    ]
-    return report, table
+        report["norm2_approx"] = _approx_map(norms)
+    return report, [("component", "norm2")] + list(norms.items())
 
 
 def cmd_construct_profile(args):
@@ -262,10 +257,7 @@ def cmd_game_solve(args):
     }
     if args.approx:
         report["payoffs_approx"] = _approx_map(report["payoffs"])
-    table = [("player", "payoff")] + [
-        (i + 1, format_rational(v)) for i, v in enumerate(payoffs.to_list())
-    ]
-    return report, table
+    return report, [("player", "payoff")] + list(report["payoffs"].items())
 
 
 def cmd_game_analyze(args):

@@ -5,17 +5,16 @@ a composition of n.  Full rankings, single candidates, ordered pairs, and
 coalitions are all tabloids of suitable shapes, so everything downstream
 (ballot profiles, score vectors, pairwise tallies, game levels) is a
 rational-valued function on a tabloid set.  This module supplies the index
-objects, their lexicographic rank/unrank, the relabeling action of
-permutations, and exact vector arithmetic.  No floating point is used
-anywhere; scalars are `fractions.Fraction`.
-"""
+objects, their rank/unrank, the relabeling action, and exact vectors: one
+dict of nonzero `Fraction`s each, combined only by `linear_combination`.
+No floating point is used anywhere."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -26,6 +25,7 @@ __all__ = [
     "Tabloid",
     "Permutation",
     "ModuleVector",
+    "linear_combination",
     "ENUMERATION_LIMIT",
     "as_composition",
     "as_fraction",
@@ -467,56 +467,73 @@ def row_sort_bijection(shape: ShapeLike, limit: int | None = None) -> list:
 # ---------------------------------------------------------------------------
 # Module vectors
 
-_DENSE_NUMERATOR = 1
-_DENSE_DENOMINATOR = 4  # switch to dense storage at 25% population
+
+def _scaled(values) -> tuple:
+    """(d, [v * d for v in values]) with d the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _combine(terms) -> dict:
+    """The nonzero entries of the sum of c * values over (rational c, {key: Fraction}) pairs.
+
+    Entry by entry on integer numerator/denominator pairs: numerators add where
+    the denominators agree, else both go over their lcm; each entry becomes a
+    Fraction once.  (One lcm for a whole vector would blow up every entry.)
+    """
+    acc: dict = {}
+    for c, values in terms:
+        cn, cd = c.numerator, c.denominator
+        if not cn:
+            continue
+        for key, v in values.items():
+            num, den = v.numerator * cn, v.denominator * cd
+            old = acc.get(key)
+            if old is None:
+                acc[key] = (num, den)
+            elif old[1] == den:
+                acc[key] = (old[0] + num, den)
+            else:
+                g = gcd(old[1], den)
+                acc[key] = (old[0] * (den // g) + num * (old[1] // g), old[1] // g * den)
+    return {key: Fraction(num, den) for key, (num, den) in acc.items() if num}
 
 
 class ModuleVector:
     """An exact rational-valued function on the tabloids of one shape.
 
-    Values are addressed by lexicographic rank.  Storage is a plain list when
-    at least a quarter of the entries are nonzero and a dict otherwise; the
-    choice is not observable through the API.  Instances are immutable and
-    all arithmetic is exact.
+    Values are addressed by lexicographic rank and stored as one dict of the
+    nonzero entries.  Instances are immutable and all arithmetic is exact;
+    every sum and multiple is one pass of linear_combination.
     """
 
-    __slots__ = ("shape", "size", "_dense", "_sparse")
+    __slots__ = ("shape", "size", "_values")
 
     def __init__(self, shape: ShapeLike, values=None):
         shape = as_composition(shape)
         size = shape.tabloid_count()
-        entries: dict = {}
         if values is None:
-            pass
+            items = ()
         elif isinstance(values, Mapping):
-            for rank, val in values.items():
-                r = int(rank)
-                if not 0 <= r < size:
-                    raise ValueError(f"rank {r} out of range for shape {shape.parts}")
-                f = as_fraction(val)
-                if f:
-                    entries[r] = f
+            items = values.items()
         else:
-            seq = list(values)
-            if len(seq) != size:
+            items = list(values)
+            if len(items) != size:
                 raise ShapeMismatchError(
-                    f"expected {size} values for shape {shape.parts}, got {len(seq)}"
+                    f"expected {size} values for shape {shape.parts}, got {len(items)}"
                 )
-            for r, val in enumerate(seq):
-                f = as_fraction(val)
-                if f:
-                    entries[r] = f
+            items = enumerate(items)
+        entries: dict = {}
+        for rank, val in items:
+            r = int(rank)
+            if not 0 <= r < size:
+                raise ValueError(f"rank {r} out of range for shape {shape.parts}")
+            f = as_fraction(val)
+            if f:
+                entries[r] = f
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "size", size)
-        if len(entries) * _DENSE_DENOMINATOR >= size * _DENSE_NUMERATOR:
-            dense = [Fraction(0)] * size
-            for r, f in entries.items():
-                dense[r] = f
-            object.__setattr__(self, "_dense", dense)
-            object.__setattr__(self, "_sparse", None)
-        else:
-            object.__setattr__(self, "_dense", None)
-            object.__setattr__(self, "_sparse", entries)
+        object.__setattr__(self, "_values", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleVector is immutable")
@@ -546,9 +563,7 @@ class ModuleVector:
     def __getitem__(self, rank: int) -> Fraction:
         if not 0 <= rank < self.size:
             raise IndexError(rank)
-        if self._dense is not None:
-            return self._dense[rank]
-        return self._sparse.get(rank, Fraction(0))
+        return self._values.get(rank, Fraction(0))
 
     def at(self, x: Tabloid) -> Fraction:
         if x.shape != self.shape:
@@ -557,63 +572,37 @@ class ModuleVector:
 
     def support(self) -> list:
         """Sorted (rank, value) pairs over the nonzero entries."""
-        if self._dense is not None:
-            return [(r, v) for r, v in enumerate(self._dense) if v]
-        return sorted(self._sparse.items())
+        return sorted(self._values.items())
 
     def to_list(self) -> list:
-        if self._dense is not None:
-            return list(self._dense)
         out = [Fraction(0)] * self.size
-        for r, v in self._sparse.items():
+        for r, v in self._values.items():
             out[r] = v
         return out
 
     def nonzero_count(self) -> int:
-        if self._dense is not None:
-            return sum(1 for v in self._dense if v)
-        return len(self._sparse)
+        return len(self._values)
 
     def is_zero(self) -> bool:
-        return self.nonzero_count() == 0
+        return not self._values
 
     def sum_values(self) -> Fraction:
-        if self._dense is not None:
-            return sum(self._dense, Fraction(0))
-        return sum(self._sparse.values(), Fraction(0))
+        d, nums = _scaled(self._values.values())
+        return Fraction(sum(nums), d)
 
     # -- arithmetic
 
-    def _require_same_shape(self, other: "ModuleVector"):
-        if not isinstance(other, ModuleVector):
-            raise TypeError(f"expected ModuleVector, got {type(other).__name__}")
-        if self.shape != other.shape:
-            raise ShapeMismatchError(
-                f"shapes differ: {self.shape.parts} vs {other.shape.parts}"
-            )
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        self._require_same_shape(other)
-        acc = dict(self.support())
-        for r, v in other.support():
-            s = acc.get(r, Fraction(0)) + v
-            if s:
-                acc[r] = s
-            else:
-                acc.pop(r, None)
-        return ModuleVector(self.shape, acc)
+        return linear_combination(self.shape, ((1, self), (1, other)))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-other)
+        return linear_combination(self.shape, ((1, self), (-1, other)))
 
     def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.shape, {r: -v for r, v in self.support()})
+        return linear_combination(self.shape, ((-1, self),))
 
     def __mul__(self, scalar) -> "ModuleVector":
-        c = as_fraction(scalar)
-        if not c:
-            return ModuleVector.zero(self.shape)
-        return ModuleVector(self.shape, {r: v * c for r, v in self.support()})
+        return linear_combination(self.shape, ((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -621,24 +610,24 @@ class ModuleVector:
         c = as_fraction(scalar)
         if not c:
             raise ZeroDivisionError("division of ModuleVector by zero")
-        return self * (Fraction(1) / c)
+        return linear_combination(self.shape, ((1 / c, self),))
 
     def inner(self, other: "ModuleVector") -> Fraction:
-        self._require_same_shape(other)
-        a, b = (self, other) if self.nonzero_count() <= other.nonzero_count() else (other, self)
-        return sum((v * b[r] for r, v in a.support()), Fraction(0))
+        a, b = sorted((self._values, _same_shape(self.shape, other)), key=len)
+        return sum((v * b[r] for r, v in a.items() if r in b), Fraction(0))
 
     def norm2(self) -> Fraction:
         """Squared Euclidean norm (kept rational; no square roots)."""
-        return sum((v * v for _, v in self.support()), Fraction(0))
+        d, nums = _scaled(self._values.values())
+        return Fraction(sum(x * x for x in nums), d * d)
 
     def __eq__(self, other):
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        return self.shape == other.shape and self.support() == other.support()
+        return self.shape == other.shape and self._values == other._values
 
     def __hash__(self):
-        return hash((self.shape, tuple(self.support())))
+        return hash((self.shape, frozenset(self._values.items())))
 
     def __repr__(self):
         entries = ", ".join(f"{r}: {v}" for r, v in self.support()[:8])
@@ -663,6 +652,25 @@ class ModuleVector:
             raise ValueError(f"bad module-vector object: {exc}") from None
         values = {int(r): parse_rational(v) for r, v in raw.items()}
         return cls(shape, values)
+
+
+def _same_shape(shape: Composition, v) -> dict:
+    """The entries of v, after checking that it is a ModuleVector on the shape."""
+    if not isinstance(v, ModuleVector):
+        raise TypeError(f"expected ModuleVector, got {type(v).__name__}")
+    if v.shape != shape:
+        raise ShapeMismatchError(f"shapes differ: {shape.parts} vs {v.shape.parts}")
+    return v._values
+
+
+def linear_combination(shape: ShapeLike, terms: Iterable) -> ModuleVector:
+    """The sum of c * v over the (exact rational c, vector v on shape) pairs of terms.
+
+    Terms are consumed one at a time; no terms give the zero vector.
+    """
+    shape = as_composition(shape)
+    entries = _combine((as_fraction(c), _same_shape(shape, v)) for c, v in terms)
+    return ModuleVector(shape, entries)
 
 
 def inner_product(f: ModuleVector, g: ModuleVector) -> Fraction:

@@ -27,10 +27,13 @@ from .core import (
     ModuleVector,
     Permutation,
     ShapeMismatchError,
+    _combine,
+    _scaled,
     as_fraction,
     candidate_shape,
     expect_json,
     format_rational,
+    linear_combination,
     parse_rational,
 )
 
@@ -170,19 +173,17 @@ class Game:
     def __add__(self, other: "Game") -> "Game":
         if not isinstance(other, Game) or other.n != self.n:
             raise ShapeMismatchError("can only add games on the same players")
-        acc = dict(self._values)
-        for mask, val in other._values.items():
-            acc[mask] = acc.get(mask, Fraction(0)) + val
-        return Game(self.n, acc)
+        return Game(self.n, _combine(((1, self._values), (1, other._values))))
 
     def __mul__(self, scalar) -> "Game":
-        c = as_fraction(scalar)
-        return Game(self.n, {m: v * c for m, v in self._values.items()})
+        return Game(self.n, _combine(((as_fraction(scalar), self._values),)))
 
     __rmul__ = __mul__
 
     def __sub__(self, other: "Game") -> "Game":
-        return self + other * -1
+        if not isinstance(other, Game) or other.n != self.n:
+            raise ShapeMismatchError("can only add games on the same players")
+        return Game(self.n, _combine(((1, self._values), (-1, other._values))))
 
     def __eq__(self, other):
         return isinstance(other, Game) and self.n == other.n and self._values == other._values
@@ -231,20 +232,22 @@ def act_game(sigma: Permutation, v: Game) -> Game:
 def _level_sums(v: Game) -> tuple:
     """Per coalition size, the total worth and each player's membership sum.
 
-    One scan of the game: totals[k] sums v(S) over the coalitions with
-    |S| = k, and members[k][i] sums it over those that contain player i+1.
+    One scan of the game, in integers scaled by the lcm of the worths'
+    denominators: totals[k] sums v(S) over the coalitions with |S| = k, and
+    members[k][i] sums it over those that contain player i+1.
     """
     n = v.n
-    totals = [Fraction(0)] * (n + 1)
-    members = [[Fraction(0)] * n for _ in range(n + 1)]
-    for mask, val in v.items():
+    d, worths = _scaled(v._values.values())
+    totals = [0] * (n + 1)
+    members = [[0] * n for _ in range(n + 1)]
+    for mask, val in zip(v._values, worths):
         k = mask.bit_count()
         totals[k] += val
         row = members[k]
         for i in range(n):
             if mask >> i & 1:
                 row[i] += val
-    return totals, members
+    return [Fraction(t, d) for t in totals], [[Fraction(s, d) for s in row] for row in members]
 
 
 def _deviations(n: int, k: int, sums: tuple) -> list:
@@ -288,16 +291,14 @@ def t1k_adjoint(h: ModuleVector, n: int, k: int) -> ModuleVector:
         raise ShapeMismatchError(f"expected per-player shape, got {h.shape.parts}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
-    gamma = comb(n - 2, k - 1)
-    dense = h.to_list()
-    total = sum(dense, Fraction(0))
-    out = []
-    for mask in level_masks(n, k):
-        inside = sum(
-            (dense[i - 1] for i in range(1, n + 1) if mask & (1 << (i - 1))),
-            Fraction(0),
-        )
-        out.append((inside - Fraction(k, n) * total) / gamma)
+    # (inside - k/n * total) / gamma, with h scaled to integers by d
+    d, h = _scaled(h.to_list())
+    total = sum(h)
+    den = n * comb(n - 2, k - 1) * d
+    out = [
+        Fraction(n * sum(h[i] for i in range(n) if mask >> i & 1) - k * total, den)
+        for mask in level_masks(n, k)
+    ]
     return ModuleVector(level_shape(n, k), out)
 
 
@@ -534,7 +535,8 @@ def decompose_game(v: Game) -> dict:
             dev_part = t1k_adjoint(h, n, k) / u1_projection_scale(n, k)
         else:
             dev_part = ModuleVector.zero(level_shape(n, k))
-        out[k] = LevelDecomposition(avg_part, dev_part, level - avg_part - dev_part)
+        kernel = linear_combination(level.shape, [(1, level), (-1, avg_part), (-1, dev_part)])
+        out[k] = LevelDecomposition(avg_part, dev_part, kernel)
     return out
 
 

@@ -25,6 +25,7 @@ from .core import (
     as_composition,
     as_fraction,
     full_ranking_shape,
+    linear_combination,
 )
 
 __all__ = [
@@ -113,8 +114,7 @@ def project_mean(f: ModuleVector) -> tuple:
         raise ShapeMismatchError(
             f"mean/deviation split expects shape (1, n-1), got {parts}"
         )
-    mean = f.sum_values() / f.size
-    const = ModuleVector.constant(f.shape, mean)
+    const = _t0(f)
     return const, f - const
 
 
@@ -245,7 +245,7 @@ def _t1(f: ModuleVector, t0f: ModuleVector) -> ModuleVector:
     borda = voting.borda_weights(f.shape.n)
     beta0, beta1 = borda_gram_eigenvalues(f.shape.n)
     gram = voting.tally_adjoint(borda, voting.tally_scores(borda, f))
-    return (gram - t0f * beta0) / beta1
+    return linear_combination(f.shape, [(1 / beta1, gram), (-beta0 / beta1, t0f)])
 
 
 def spectral_components(f: ModuleVector) -> tuple:
@@ -266,7 +266,8 @@ def spectral_components(f: ModuleVector) -> tuple:
     if n == 2:
         return (t0f, t1f)
     k0, k1, k2 = kemeny_eigenvalues(n)
-    return (t0f, t1f, (voting.kemeny_operator_apply(f) - t0f * k0 - t1f * k1) / k2)
+    terms = [(1 / k2, voting.kemeny_operator_apply(f)), (-k0 / k2, t0f), (-k1 / k2, t1f)]
+    return (t0f, t1f, linear_combination(f.shape, terms))
 
 
 @lru_cache(maxsize=32)

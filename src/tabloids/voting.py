@@ -24,6 +24,7 @@ from .core import (
     ShapeLike,
     ShapeMismatchError,
     Tabloid,
+    _scaled,
     as_composition,
     as_fraction,
     act_vector,
@@ -33,6 +34,7 @@ from .core import (
     full_ranking_shape,
     iter_words,
     lex_rank,
+    linear_combination,
     pair_shape,
     parse_rational,
     unrank_word,
@@ -268,12 +270,6 @@ def _row_weights(w, shape) -> list:
     return ws
 
 
-def _scaled(values) -> tuple:
-    """(d, [v * d for v in values]) with d the lcm of the denominators."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 def _unscaled(shape, acc: list, d: int) -> ModuleVector:
     """Divide an operator's integer result by the product d of its inputs' scales."""
     return ModuleVector(shape, [Fraction(a, d) for a in acc])
@@ -374,11 +370,10 @@ def srsf_apply(z: ModuleVector, f: VectorLike) -> RankingScores:
         raise ShapeMismatchError("ranking scoring needs full-ranking shapes")
     if z.shape != shape:
         raise ShapeMismatchError("template and data sizes differ")
-    total = ModuleVector.zero(shape)
-    for rank, val in vec.support():
-        sigma = Permutation(unrank_word(shape, rank))
-        total = total + act_vector(sigma, z) * val
-    return RankingScores(total)
+    return RankingScores(linear_combination(shape, (
+        (val, act_vector(Permutation(unrank_word(shape, rank)), z))
+        for rank, val in vec.support()
+    )))
 
 
 def kendall_tau(x: Tabloid, y: Tabloid) -> int:
@@ -508,7 +503,7 @@ def family_apply(gamma: Sequence, f: VectorLike) -> RankingScores:
         raise ValueError("the spectral family needs n >= 3")
     g0, g1, g2 = (as_fraction(g) for g in gamma)
     t0f, t1f, t2f = specht.spectral_components(vec)
-    return RankingScores(t0f * g0 + t1f * g1 + t2f * g2)
+    return RankingScores(linear_combination(vec.shape, [(g0, t0f), (g1, t1f), (g2, t2f)]))
 
 
 def borda_srsf_apply(w, f: VectorLike) -> RankingScores:
@@ -571,6 +566,8 @@ def construct_profile(ws: Sequence, targets: Sequence[ModuleVector], *,
     tally can see) until it is a nonnegative-integer profile; an
     InfeasibleError is raised if the needed shift exceeds shift_bound.
     """
+    if shift_bound is not None and shift_bound < 0:
+        raise ValueError(f"shift bound must be nonnegative, got {shift_bound}")
     hats = [_as_hat(w) for w in ws]
     if not hats:
         raise ValueError("need at least one weighting vector")

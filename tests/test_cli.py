@@ -216,6 +216,24 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_deeply_nested_json(tmp_path, capsys):
+    # 100,000 nested lists used to end in a RecursionError traceback
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert_one_line_parse_error(capsys, ["tally", str(nested)])
+    assert_one_line_parse_error(capsys, ["game-solve", "--game", str(nested)])
+
+
+def test_exit_code_negative_shift_bound(tmp_path, capsys):
+    # no shift meets a negative bound; it used to exit 0 with "shift": 0
+    weights = write_json(tmp_path / "w.json", {"weights": ["2", "1", "0"]})
+    target = write_json(tmp_path / "t.json", {"shape": [1, 2], "values": {"0": "1", "2": "-1"}})
+    assert_one_line_parse_error(capsys, [
+        "construct-profile", "--weights", weights, "--target", target,
+        "--as-integer-profile", "--shift-bound", "-1",
+    ])
+
+
 def test_exit_code_non_integer_count(tmp_path, capsys):
     # a count must be a JSON integer: no fraction, float, boolean or string
     for count in (1.7, 2.0, True, "2"):

@@ -476,6 +476,12 @@ def test_construct_profile_integer_representative():
         construct_profile([borda_weights(3)], targets, integer_profile=True, shift_bound=0)
 
 
+def test_construct_profile_rejects_negative_shift_bound():
+    targets = [sum_zero_vector(random.Random(4), 3)]
+    with pytest.raises(ValueError, match="shift bound"):
+        construct_profile([borda_weights(3)], targets, integer_profile=True, shift_bound=-1)
+
+
 def test_ordinal_agreement_iff_equivalent():
     # same tiers for equivalent schedules, on assorted profiles
     rng = random.Random(15)
