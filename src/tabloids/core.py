@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -148,7 +148,7 @@ class Composition:
 
     def tabloid_count(self) -> int:
         """|X^shape| = n! / (prod of part factorials)."""
-        return _multinomial(self.parts)
+        return _suffix_counts(self.parts)[0]
 
     def __iter__(self):
         return iter(self.parts)
@@ -333,12 +333,14 @@ class Permutation:
 # Enumeration and lexicographic ranking
 
 
-def _multinomial(parts: Sequence[int]) -> int:
-    """Number of tabloids with the given row sizes: (sum parts)! / prod(part!)."""
-    num = factorial(sum(parts))
-    for p in parts:
-        num //= factorial(p)
-    return num
+@lru_cache(maxsize=256)
+def _suffix_counts(parts: tuple) -> tuple:
+    """The tabloid count of every suffix shape parts[i:], i = 0..len(parts)."""
+    counts, size = [1], 0
+    for p in reversed(parts):
+        size += p
+        counts.append(counts[-1] * comb(size, p))
+    return tuple(reversed(counts))
 
 
 def _tabloid(parts: Sequence[int], word: Sequence[int]) -> Tabloid:
@@ -411,25 +413,27 @@ def _combination_unrank(avail: Sequence[int], k: int, rank: int) -> tuple:
 
 def lex_rank(x: Tabloid) -> int:
     """Position of x in the lexicographic listing of its shape (0-based)."""
-    shape = x.shape
-    avail = list(range(1, shape.n + 1))
+    avail = list(range(1, x.n + 1))
     rank = 0
-    for i, row in enumerate(x.rows):
-        rank += _combination_rank(avail, row) * _multinomial(shape.parts[i + 1 :])
+    for row, below in zip(x.rows, _suffix_counts(x.shape.parts)[1:]):
+        rank += _combination_rank(avail, row) * below
         avail = [v for v in avail if v not in row]
     return rank
 
 
 def unrank_word(shape: ShapeLike, rank: int) -> tuple:
     """The word (rows concatenated top to bottom) of the tabloid at `rank`."""
-    shape = as_composition(shape)
-    total = shape.tabloid_count()
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for |X^{shape.parts}| = {total}")
-    avail = list(range(1, shape.n + 1))
+    parts = as_composition(shape).parts
+    counts = _suffix_counts(parts)
+    if not 0 <= rank < counts[0]:
+        raise ValueError(f"rank {rank} out of range for |X^{parts}| = {counts[0]}")
+    avail = list(range(1, sum(parts) + 1))
     word = []
-    for i, k in enumerate(shape.parts):
-        c, rank = divmod(rank, _multinomial(shape.parts[i + 1 :]))
+    for k, below in zip(parts, counts[1:]):
+        c, rank = divmod(rank, below)
+        if k == 1:
+            word.append(avail.pop(c))
+            continue
         row = _combination_unrank(avail, k, c)
         word.extend(row)
         avail = [v for v in avail if v not in row]

@@ -1,24 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Rank / row-space / solving are done by fraction-free (Bareiss) elimination on
-integer matrices obtained by clearing denominators row by row, which keeps
-intermediate entries as minors instead of ever-growing fractions.  Inputs are
-sequences of sequences of ints or Fractions; nothing here is float-aware.
+Fraction-free (Bareiss) elimination on denominator-cleared integer rows keeps
+entries as minors, not ever-growing fractions; solving scans columns only up
+to the last pivot.  Inputs are rectangular sequences of sequences of ints or
+Fractions; nothing here is float-aware.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
-from .core import as_fraction
+from .core import _scaled, as_fraction
 
 __all__ = [
     "clear_denominators",
     "row_echelon_int",
     "rank",
     "row_basis",
+    "solve_columns",
     "solve_linear",
     "matrix_multiply",
     "transpose",
@@ -29,18 +30,20 @@ Matrix = Sequence[Sequence]
 
 def clear_denominators(row: Sequence) -> list:
     """Scale a rational row by the lcm of denominators; returns integers."""
-    fr = [as_fraction(v) for v in row]
-    mult = lcm(*(f.denominator for f in fr)) if fr else 1
-    return [int(f * mult) for f in fr]
+    return _scaled([as_fraction(v) for v in row])[1]
+
+
+def _width(rows: Matrix) -> int:
+    """The common length of the rows; a ragged matrix is an error, not a truncation."""
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise ValueError(f"row {i} has length {len(r)} but row 0 has length {len(rows[0])}")
+    return len(rows[0]) if rows else 0
 
 
 def _primitive(row: list) -> list:
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-    if g > 1:
-        return [v // g for v in row]
-    return list(row)
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
 
 
 def row_echelon_int(rows: list) -> tuple:
@@ -51,7 +54,7 @@ def row_echelon_int(rows: list) -> tuple:
     """
     m = [list(r) for r in rows]
     nr = len(m)
-    nc = len(m[0]) if nr else 0
+    nc = _width(m)
     pivots = []
     r = 0
     prev = 1
@@ -85,31 +88,62 @@ def row_basis(rows: Matrix) -> list:
     return [[Fraction(v) for v in _primitive(r)] for r in ech]
 
 
+def solve_columns(columns: Iterable[Sequence[int]], b: Sequence) -> tuple:
+    """One exact solution of sum_j x_j * columns[j] = b; None if b is outside their span.
+
+    A column (integers, length len(b)) is kept if it adds rank to the kept
+    ones, and the scan stops at full row rank.  The kept columns are the
+    lexicographically first column basis; every other coordinate is 0.
+    Returns ({kept column index: value} | None, rank).
+    """
+    m = len(b)
+    reduced = []  # (pivot row, kept column reduced against the earlier ones)
+    kept = []  # (column index, kept column)
+    for j, col in enumerate(columns):
+        if len(col) != m:
+            raise ValueError(f"column {j} has length {len(col)} but b has length {m}")
+        v = list(col)
+        for p, e in reduced:
+            if v[p]:
+                g = gcd(e[p], v[p])
+                ep, vp = e[p] // g, v[p] // g
+                v = [ep * x - vp * y for x, y in zip(v, e)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        reduced.append((p, _primitive(v)))
+        kept.append((j, col))
+        if len(kept) == m:
+            break
+    r = len(kept)
+    aug = [clear_denominators([col[i] for _, col in kept] + [b[i]]) for i in range(m)]
+    ech, pivots = row_echelon_int(aug)
+    if r in pivots:
+        return None, r
+    # the kept columns are independent, so pivot i sits in row i, column i
+    x = [Fraction(0)] * r
+    for i in range(r - 1, -1, -1):
+        x[i] = Fraction(ech[i][r] - sum(ech[i][c] * x[c] for c in range(i + 1, r)), ech[i][i])
+    return {kept[i][0]: x[i] for i in range(r)}, r
+
+
 def solve_linear(a: Matrix, b: Sequence) -> tuple:
     """One exact solution of a x = b with free variables pinned to zero.
 
     Returns (solution | None, nullity); None when the system is inconsistent.
-    Pivoting scans columns left to right, so the output is deterministic.
+    The pivot columns are the lexicographically first column basis of `a`
+    (see solve_columns), so the output is deterministic.
     """
     rows = [list(r) for r in a]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if len(b) != nr:
-        raise ValueError(f"rhs length {len(b)} != row count {nr}")
-    aug = [clear_denominators(list(rows[i]) + [b[i]]) for i in range(nr)]
-    ech, pivots = row_echelon_int(aug)
-    if nc in pivots:
-        return None, nc - (len(pivots) - 1)
-    nullity = nc - len(pivots)
-    x = [Fraction(0)] * nc
-    for i in range(len(ech) - 1, -1, -1):
-        c = pivots[i]
-        acc = Fraction(ech[i][nc])
-        for j in range(c + 1, nc):
-            if ech[i][j]:
-                acc -= ech[i][j] * x[j]
-        x[c] = acc / ech[i][c]
-    return x, nullity
+    nc = _width(rows)
+    if len(b) != len(rows):
+        raise ValueError(f"rhs length {len(b)} != row count {len(rows)}")
+    aug = [clear_denominators(row + [v]) for row, v in zip(rows, b)]
+    rhs = [row.pop() for row in aug]
+    solution, r = solve_columns(zip(*aug), rhs)
+    if solution is None:
+        return None, nc - r
+    return [solution.get(j, Fraction(0)) for j in range(nc)], nc - r
 
 
 def transpose(rows: Matrix) -> list:

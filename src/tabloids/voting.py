@@ -586,17 +586,17 @@ def construct_profile(ws: Sequence, targets: Sequence[ModuleVector], *,
     if linalg.rank([h.to_list() for h in hats]) != len(hats):
         raise ValueError("weighting vectors must be linearly independent")
 
+    # Each hat sums to zero, so a rule's n rows sum to zero and candidate n's
+    # row (like its zero-sum target entry) is redundant: k(n-1) rows remain.
+    # Column x is the hat weight at each remaining candidate's position in x.
     shape = full_ranking_shape(n)
-    rows = []
-    rhs = []
-    for h, r in zip(hats, targets):
-        weights = h.to_list()
-        # one row per candidate i: the weight of i's position in each ranking
-        rows += [[weights[w.index(i)] for w in iter_words(shape)] for i in range(1, n + 1)]
-        rhs += r.to_list()
-    solution, nullity = linalg.solve_linear(rows, rhs)
+    scaled = [_scaled(h.to_list()) for h in hats]
+    rhs = [d * t for (d, _), r in zip(scaled, targets) for t in r.to_list()[:-1]]
+    columns = ([hw[w.index(i)] for _, hw in scaled for i in range(1, n)] for w in iter_words(shape))
+    solution, rank = linalg.solve_columns(columns, rhs)
     if solution is None:
         raise RuntimeError("joint tally system unexpectedly inconsistent")
+    nullity = shape.tabloid_count() - rank
     f = ModuleVector(shape, solution)
     for h, r in zip(hats, targets):
         if tally_scores(h.to_list(), f) != r:

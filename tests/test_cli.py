@@ -1,6 +1,7 @@
 """Command-line surface: reports, formats, and exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -203,6 +204,25 @@ def test_construct_profile_integer_infeasible(tmp_path, capsys):
         "0",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("flags, recorded", [
+    ((), "construct_profile_n5.json"),
+    (("--as-integer-profile",), "construct_profile_n5_integer.json"),
+])
+def test_construct_profile_n5_prints_recorded_bytes(tmp_path, capsys, flags, recorded):
+    # two rational rules at n=5; the report was recorded from the row-Bareiss solver
+    argv = ["construct-profile"]
+    for name, weights, target in [
+        ("1", ["4", "3", "2", "1", "0"], {"0": "3", "1": "-1/2", "4": "-5/2"}),
+        ("2", ["1", "1/2", "0", "0", "0"], {"1": "2", "2": "-1", "3": "-1"}),
+    ]:
+        argv += ["--weights", write_json(tmp_path / f"w{name}.json", {"weights": weights}),
+                 "--target", write_json(tmp_path / f"t{name}.json",
+                                        {"shape": [1, 4], "values": target})]
+    code, out = run(capsys, *argv, *flags)
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent / "cli_outputs" / recorded).read_text(encoding="utf-8")
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """The integer word kernel of the voting operators against the Tabloid loops it replaced.
 
 Inputs are seeded random rationals with negative values and non-unit
-denominators; every comparison is an exact equality with the oracle in
-voting_oracles.py.
+denominators; every comparison is an exact equality with the oracles in
+voting_oracles.py and index_oracles.py.
 """
 
 import json
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
+import index_oracles as index_oracle
 import pytest
 import voting_oracles as oracle
 
@@ -97,10 +99,8 @@ def test_spectral_family_matches_oracle(n):
     assert voting.family_apply(gamma, f).scores == want
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_construct_profile_matches_oracle(n):
-    rng = random.Random(600 + n)
-    rules = min(n - 1, 2)
+def random_profile_system(rng, n, rules):
+    """`rules` independent rational weighting vectors and as many sum-zero targets."""
     while True:
         ws = [voting.WeightingVector([rational(rng) for _ in range(n)], allow_unsorted=True)
               for _ in range(rules)]
@@ -108,10 +108,53 @@ def test_construct_profile_matches_oracle(n):
         if linalg.rank([h.to_list() for h in hats]) == rules:
             break
     targets = [specht.project_mean(random_vector(rng, (1, n - 1)))[1] for _ in range(rules)]
-    built = voting.construct_profile(ws, targets)
-    solution, nullity = oracle.construct_profile_system(hats, targets)
-    assert built.solution == ModuleVector(full_ranking_shape(n), solution)
-    assert built.affine_dimension == nullity
+    return ws, hats, targets
+
+
+def integer_representative(f):
+    """(scale * f + shift, scale, shift) with the least scale and shift that make f a profile."""
+    scale = lcm(*(v.denominator for _, v in f.support()))
+    f = f * scale
+    shift = int(max(0, -min(f.to_list())))
+    return f + ModuleVector.constant(f.shape, shift), scale, shift
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_construct_profile_matches_oracle(n):
+    # the oracle solves all n rows per rule by row-Bareiss over every column
+    rng = random.Random(600 + n)
+    for rules in range(1, n):
+        ws, hats, targets = random_profile_system(rng, n, rules)
+        solution, nullity = oracle.construct_profile_system(hats, targets)
+        raw = ModuleVector(full_ranking_shape(n), solution)
+        assert nullity == factorial(n) - rules * (n - 1)
+
+        built = voting.construct_profile(ws, targets)
+        assert (built.solution, built.affine_dimension, built.scale, built.shift) == (
+            raw, nullity, 1, 0)
+
+        profile, scale, shift = integer_representative(raw)
+        built = voting.construct_profile(ws, targets, integer_profile=True)
+        assert (built.solution, built.affine_dimension, built.scale, built.shift) == (
+            profile, nullity, scale, shift)
+
+
+def test_construct_profile_reads_fewer_words_than_one_sweep(monkeypatch):
+    # row by row, each of the k*n rows would sweep all 7! words
+    read = [0]
+    iter_words = voting.iter_words
+
+    def counted(shape, limit=None):
+        for word in iter_words(shape, limit):
+            read[0] += 1
+            yield word
+
+    monkeypatch.setattr(voting, "iter_words", counted)
+    rng = random.Random(7)
+    for rules in (2, 3):
+        ws, _, targets = random_profile_system(rng, 7, rules)
+        voting.construct_profile(ws, targets, integer_profile=True)
+    assert 0 < read[0] < factorial(7)
 
 
 def test_forward_operators_on_sparse_support_past_enumeration_limit():
@@ -182,3 +225,17 @@ def test_operators_build_no_tabloids(monkeypatch):
     voting.pairs_map(f)
     voting.pairs_map_adjoint(g)
     voting.construct_profile(ws, targets, integer_profile=True)
+
+
+UNRANK_SHAPES = [(1,) * n for n in range(1, 8)] + [(2, 3), (1, 4), (3, 2, 2), (2, 1, 2), (1, 1, 3)]
+
+
+@pytest.mark.parametrize("parts", UNRANK_SHAPES, ids=str)
+def test_unrank_word_matches_oracle(parts):
+    total = Composition(parts).tabloid_count()
+    words = [core.unrank_word(parts, r) for r in range(total)]
+    assert words == [index_oracle.unrank_word(parts, r) for r in range(total)]
+    assert words == list(core.iter_words(parts))
+    for bad in (-1, total):
+        with pytest.raises(ValueError, match="out of range"):
+            core.unrank_word(parts, bad)

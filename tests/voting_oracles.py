@@ -8,7 +8,7 @@ n!-sized tables, so they are used only to check the kernel on small n.
 
 from fractions import Fraction
 
-from tabloids import linalg, specht
+from tabloids import specht
 from tabloids.core import (
     ModuleVector,
     cached_tabloids,
@@ -18,6 +18,8 @@ from tabloids.core import (
     unrank,
 )
 from tabloids.voting import _row_weights, borda_weights, pair_rank
+
+from linalg_oracles import solve_linear
 
 
 def tally_scores(w, vec):
@@ -97,7 +99,8 @@ def spectral_components(vec):
 
 
 def construct_profile_system(hats, targets):
-    """(solution, nullity) of the joint tally system, rows built per Tabloid."""
+    """(solution, nullity) of the joint tally system: all n rows per rule, built
+    per Tabloid, solved by row-Bareiss elimination over every column."""
     n = hats[0].shape.n
     tabloids = cached_tabloids(full_ranking_shape(n).parts)
     rows, rhs = [], []
@@ -107,4 +110,4 @@ def construct_profile_system(hats, targets):
         for i in range(1, n + 1):
             rows.append([weights[x.row_of(i)] for x in tabloids])
             rhs.append(dense_target[i - 1])
-    return linalg.solve_linear(rows, rhs)
+    return solve_linear(rows, rhs)
