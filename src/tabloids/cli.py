@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import games, specht, voting
+from . import core, games, specht, voting
 from .core import (
     CapacityError,
     InfeasibleError,
@@ -70,22 +70,6 @@ def _candidate_scores(scores: ModuleVector) -> dict:
     return {str(i + 1): format_rational(v) for i, v in enumerate(scores.to_list())}
 
 
-def _candidate_tiers(result: voting.RankingScores) -> list:
-    return [sorted(x.rows[0][0] for x in tier) for tier in result.tiers]
-
-
-def _ranking_scores(result: voting.RankingScores) -> dict:
-    # tiers run from the highest distinct score down and cover every ranking
-    values = sorted(set(result.scores.to_list()), reverse=True)
-    return {
-        str(x): format_rational(v) for v, tier in zip(values, result.tiers) for x in tier
-    }
-
-
-def _ranking_tiers(result: voting.RankingScores) -> list:
-    return [[str(x) for x in tier] for tier in result.tiers]
-
-
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (report dict, table rows for csv/pretty)
 
@@ -100,8 +84,8 @@ def cmd_tally(args):
         "voter_total": format_rational(profile.voter_total),
         "weights": [format_rational(v) for v in w.weights],
         "scores": _candidate_scores(result.scores),
-        "winners": sorted(x.rows[0][0] for x in result.winners),
-        "tiers": _candidate_tiers(result),
+        "winners": [r + 1 for r in result.ranks[0]],
+        "tiers": [[r + 1 for r in tier] for tier in result.ranks],
     }
     if args.approx:
         report["scores_approx"] = _approx_map(report["scores"])
@@ -109,13 +93,14 @@ def cmd_tally(args):
 
 
 def _srsf_report(name: str, profile: voting.Profile, result: voting.RankingScores, args):
+    names = [core._format_word(profile.shape.parts, w) for w in core.iter_words(profile.shape)]
     report = {
         "command": name,
         "n": profile.n,
         "voter_total": format_rational(profile.voter_total),
-        "scores": _ranking_scores(result),
-        "winners": [str(x) for x in result.tiers[0]],
-        "tiers": _ranking_tiers(result),
+        "scores": dict(zip(names, map(format_rational, result.scores.to_list()))),
+        "winners": [names[r] for r in result.ranks[0]],
+        "tiers": [[names[r] for r in tier] for tier in result.ranks],
     }
     if args.approx:
         report["scores_approx"] = _approx_map(report["scores"])
@@ -261,14 +246,8 @@ def cmd_game_solve(args):
 
 
 def cmd_game_analyze(args):
-    if args.coeffs and args.marginal:
-        raise ValueError("pass only one of --coeffs, --marginal")
-    if args.coeffs:
-        coeffs = games.coefficients_from_json_dict(_load_json_file(args.coeffs))
-    elif args.marginal:
-        m = games.marginal_from_json_dict(_load_json_file(args.marginal))
-        coeffs = games.marginal_to_coefficients(m)
-    else:
+    coeffs, _ = _load_concept(args)
+    if coeffs is None:
         raise ValueError("game-analyze needs --coeffs or --marginal")
     # before the O(n^3) fit: self_dual_check refuses more than MAX_PLAYERS players
     self_dual = games.self_dual_check(coeffs)
@@ -384,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="efficiency, marginality fit, and self-duality verdicts")
     p.add_argument("--coeffs", default=None, help="coefficient JSON file")
     p.add_argument("--marginal", default=None, help="marginal-weights JSON file")
-    p.set_defaults(handler=cmd_game_analyze)
+    p.set_defaults(handler=cmd_game_analyze, concept=None)
 
     return parser
 

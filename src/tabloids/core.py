@@ -266,9 +266,7 @@ class Tabloid:
         return "Tabloid[%s]" % " | ".join(" ".join(map(str, row)) for row in self.rows)
 
     def __str__(self):
-        if self.shape.is_full_ranking():
-            return ">".join(str(row[0]) for row in self.rows)
-        return " | ".join(" ".join(map(str, row)) for row in self.rows)
+        return _format_word(self.shape.parts, self.word())
 
 
 class Permutation:
@@ -348,6 +346,14 @@ def _tabloid(parts: Sequence[int], word: Sequence[int]) -> Tabloid:
     return Tabloid(word[end - p : end] for p, end in zip(parts, accumulate(parts)))
 
 
+def _format_word(parts: Sequence[int], word: Sequence[int]) -> str:
+    """The printed form of a tabloid: "2>1>3" for a full ranking, else rows joined by " | "."""
+    if len(parts) == len(word):
+        return ">".join(map(str, word))
+    rows = (word[end - p : end] for p, end in zip(parts, accumulate(parts)))
+    return " | ".join(" ".join(map(str, row)) for row in rows)
+
+
 def _rest_words(avail: tuple, parts: tuple) -> Iterator[tuple]:
     if len(parts) == 1:
         yield avail
@@ -411,14 +417,22 @@ def _combination_unrank(avail: Sequence[int], k: int, rank: int) -> tuple:
     return tuple(out)
 
 
+def _word_rank(parts: tuple, word: Sequence[int]) -> int:
+    """Lex rank of the tabloid whose rows, each in any order, spell `word` top to bottom."""
+    avail = list(range(1, len(word) + 1))
+    rank = 0
+    for k, end, below in zip(parts, accumulate(parts), _suffix_counts(parts)[1:]):
+        row = word[end - k : end]
+        # a one-element row is ranked by its position among the remaining entries
+        rank += (avail.index(row[0]) if k == 1 else _combination_rank(avail, row)) * below
+        for e in row:
+            avail.remove(e)
+    return rank
+
+
 def lex_rank(x: Tabloid) -> int:
     """Position of x in the lexicographic listing of its shape (0-based)."""
-    avail = list(range(1, x.n + 1))
-    rank = 0
-    for row, below in zip(x.rows, _suffix_counts(x.shape.parts)[1:]):
-        rank += _combination_rank(avail, row) * below
-        avail = [v for v in avail if v not in row]
-    return rank
+    return _word_rank(x.shape.parts, x.word())
 
 
 def unrank_word(shape: ShapeLike, rank: int) -> tuple:
@@ -688,10 +702,11 @@ def act_vector(sigma: Permutation, f: ModuleVector) -> ModuleVector:
         raise ShapeMismatchError(
             f"permutation on {sigma.n} symbols, vector on {f.shape.n}"
         )
-    moved = {}
-    for rank, val in f.support():
-        moved[lex_rank(act_tabloid(sigma, unrank(f.shape, rank)))] = val
-    return ModuleVector(f.shape, moved)
+    parts, images = f.shape.parts, (0, *sigma.images)
+    return ModuleVector(f.shape, {
+        _word_rank(parts, [images[e] for e in unrank_word(parts, rank)]): val
+        for rank, val in f.support()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +730,7 @@ def from_group_algebra(n: int, values: Mapping) -> ModuleVector:
     for sigma, val in values.items():
         if sigma.n != n:
             raise ShapeMismatchError("permutation size differs from n")
-        data[lex_rank(Tabloid.from_ranking(sigma.images))] = as_fraction(val)
+        data[_word_rank(shape.parts, sigma.images)] = as_fraction(val)
     return ModuleVector(shape, data)
 
 

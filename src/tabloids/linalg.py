@@ -147,11 +147,14 @@ def solve_linear(a: Matrix, b: Sequence) -> tuple:
 
 
 def transpose(rows: Matrix) -> list:
+    _width(rows)
     return [list(col) for col in zip(*rows)]
 
 
 def matrix_multiply(a: Matrix, b: Matrix) -> list:
-    bt = list(zip(*b))
+    if a and _width(a) != len(b):
+        raise ValueError(f"row 0 of a has length {len(a[0])} but b has {len(b)} rows")
+    bt = transpose(b)
     return [
         [sum((as_fraction(x) * as_fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
         for row in a

@@ -30,13 +30,13 @@ from .core import (
     act_vector,
     expect_json,
     candidate_shape,
-    enumerate_tabloids,
     full_ranking_shape,
     iter_words,
     lex_rank,
     linear_combination,
     pair_shape,
     parse_rational,
+    unrank,
     unrank_word,
 )
 from .specht import LinearMap
@@ -99,17 +99,19 @@ class Profile:
 
     @classmethod
     def from_ballots(cls, shape: ShapeLike, ballots: Iterable) -> "Profile":
-        """Build from (tabloid-or-rows, count) pairs; repeated ballots add up."""
+        """Build from (tabloid-or-rows, nonnegative int count) pairs; repeated ballots add up."""
         shape = as_composition(shape)
         acc: dict = {}
-        for entry, count in ballots:
+        for idx, (entry, count) in enumerate(ballots):
             x = entry if isinstance(entry, Tabloid) else Tabloid(entry)
             if x.shape != shape:
                 raise ShapeMismatchError(
                     f"ballot {x} has shape {x.shape.parts}, expected {shape.parts}"
                 )
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(f"ballot #{idx}: count {count!r} is not a nonnegative integer")
             rank = lex_rank(x)
-            acc[rank] = acc.get(rank, 0) + int(count)
+            acc[rank] = acc.get(rank, 0) + count
         return cls(ModuleVector(shape, acc))
 
     @property
@@ -200,37 +202,41 @@ def antiplurality_weights(n: int) -> WeightingVector:
 class RankingScores:
     """Scores plus the derived winner set and tie-aware ordinal tiers.
 
-    `tiers[k]` holds the tabloids with the k-th highest distinct score, in
-    lexicographic rank order, so every tabloid of the shape is in one tier.
+    `ranks[k]` holds the ranks with the k-th highest distinct score, ascending,
+    so every rank is in one tier; `tiers` and `winners` unrank on each access.
     """
 
-    __slots__ = ("scores", "winners", "tiers")
+    __slots__ = ("scores", "ranks")
 
     def __init__(self, scores: ModuleVector):
-        dense = scores.to_list()
         by_value: dict = {}
-        for x, v in zip(enumerate_tabloids(scores.shape), dense):
-            by_value.setdefault(v, []).append(x)
-        tiers = tuple(tuple(by_value[v]) for v in sorted(by_value, reverse=True))
+        for rank, v in enumerate(_scaled(scores.to_list())[1]):
+            by_value.setdefault(v, []).append(rank)
+        ranks = tuple(tuple(by_value[v]) for v in sorted(by_value, reverse=True))
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "tiers", tiers)
-        object.__setattr__(self, "winners", frozenset(tiers[0]) if tiers else frozenset())
+        object.__setattr__(self, "ranks", ranks)
 
     def __setattr__(self, name, value):
         raise AttributeError("RankingScores is immutable")
 
+    @property
+    def tiers(self) -> tuple:
+        return tuple(tuple(unrank(self.scores.shape, r) for r in tier) for tier in self.ranks)
+
+    @property
+    def winners(self) -> frozenset:
+        return frozenset(unrank(self.scores.shape, r) for r in self.ranks[0])
+
     def tier_of(self, x: Tabloid) -> int:
-        for i, tier in enumerate(self.tiers):
-            if x in tier:
-                return i
-        raise ValueError(f"{x} not indexed by these scores")
+        v = self.scores.at(x)
+        return sum(self.scores[tier[0]] > v for tier in self.ranks)
 
     def ordinal_signature(self) -> tuple:
         """Tier index per lexicographic rank; equal iff ordinal outcomes agree."""
         sig = [0] * self.scores.size
-        for i, tier in enumerate(self.tiers):
-            for x in tier:
-                sig[lex_rank(x)] = i
+        for i, tier in enumerate(self.ranks):
+            for r in tier:
+                sig[r] = i
         return tuple(sig)
 
     def winner_candidates(self) -> tuple:
@@ -238,7 +244,7 @@ class RankingScores:
         parts = self.scores.shape.parts
         if len(parts) != 2 or parts[0] != 1:
             raise ShapeMismatchError("winner_candidates needs shape (1, n-1)")
-        return tuple(sorted(x.rows[0][0] for x in self.winners))
+        return tuple(r + 1 for r in self.ranks[0])
 
     def __repr__(self):
         return f"RankingScores(winners={sorted(map(str, self.winners))})"

@@ -1,12 +1,24 @@
-"""The unranking that the cached-count `core.unrank_word` replaced, kept as a test oracle.
+"""Index code that the word kernel in `tabloids.core` replaced, kept as test oracles.
 
-Every call recomputes the multinomial of each suffix of the shape from
+`unrank_word` recomputes the multinomial of each suffix of the shape from
 factorials and walks the combination loop even for one-element rows.
+`lex_rank` ranks a `Tabloid` row by row through the combination rank, and
+`act_vector` relabels through unrank -> act_tabloid -> lex_rank per entry.
+`tabloid_str` is the printed form that `Tabloid.__str__` produced itself.
 """
 
 from math import factorial
 
-from tabloids.core import _combination_unrank, as_composition
+from tabloids.core import (
+    ModuleVector,
+    ShapeMismatchError,
+    _combination_rank,
+    _combination_unrank,
+    _suffix_counts,
+    act_tabloid,
+    as_composition,
+    unrank,
+)
 
 
 def _multinomial(parts):
@@ -30,3 +42,31 @@ def unrank_word(shape, rank):
         word.extend(row)
         avail = [v for v in avail if v not in row]
     return tuple(word)
+
+
+def lex_rank(x):
+    """Position of x in the lexicographic listing of its shape (0-based)."""
+    avail = list(range(1, x.n + 1))
+    rank = 0
+    for row, below in zip(x.rows, _suffix_counts(x.shape.parts)[1:]):
+        rank += _combination_rank(avail, row) * below
+        avail = [v for v in avail if v not in row]
+    return rank
+
+
+def act_vector(sigma, f):
+    """Relabel: the result takes at sigma.x the value f took at x."""
+    if sigma.n != f.shape.n:
+        raise ShapeMismatchError(
+            f"permutation on {sigma.n} symbols, vector on {f.shape.n}"
+        )
+    moved = {}
+    for rank, val in f.support():
+        moved[lex_rank(act_tabloid(sigma, unrank(f.shape, rank)))] = val
+    return ModuleVector(f.shape, moved)
+
+
+def tabloid_str(x):
+    if x.shape.is_full_ranking():
+        return ">".join(str(row[0]) for row in x.rows)
+    return " | ".join(" ".join(map(str, row)) for row in x.rows)

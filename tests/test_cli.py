@@ -225,6 +225,41 @@ def test_construct_profile_n5_prints_recorded_bytes(tmp_path, capsys, flags, rec
     assert out == (pathlib.Path(__file__).parent / "cli_outputs" / recorded).read_text(encoding="utf-8")
 
 
+N5_TIE_BALLOTS = {"n": 5, "ballots": [
+    {"ranking": [[1], [2], [3], [4], [5]], "count": 3},
+    {"ranking": [[2], [1], [4], [3], [5]], "count": 3},
+    {"ranking": [[5], [3], [4], [1], [2]], "count": 2},
+    {"ranking": [[4], [5], [3], [2], [1]], "count": 2},
+]}
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("csv", "csv"), ("pretty", "txt")])
+@pytest.mark.parametrize("argv", [
+    ["tally"], ["kemeny"], ["family", "--gamma0", "1", "--gamma1", "1/2", "--gamma2", "3"],
+], ids=lambda argv: argv[0])
+def test_voting_n5_prints_recorded_bytes(tmp_path, capsys, argv, fmt, ext):
+    # tied winners and tiers in every report; recorded from the Tabloid-based renderers
+    ballots = write_json(tmp_path / "b.json", N5_TIE_BALLOTS)
+    code, out = run(capsys, argv[0], ballots, *argv[1:], "--format", fmt)
+    assert code == 0
+    recorded = pathlib.Path(__file__).parent / "cli_outputs" / f"{argv[0]}_n5.{ext}"
+    assert out == recorded.read_text(encoding="utf-8")
+
+
+def test_game_analyze_refuses_both_concept_files(tmp_path, capsys):
+    coeffs = write_json(tmp_path / "c.json", {"c0": ["0", "0", "1"], "c1": ["1/2", "1/2"]})
+    marginal = write_json(tmp_path / "m.json", {"m": ["1/3", "1/6", "1/3"]})
+    assert main(["game-analyze", "--coeffs", coeffs, "--marginal", marginal]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: pass only one of --coeffs, --marginal\n")
+
+
+def test_game_analyze_needs_a_concept_file(capsys):
+    assert main(["game-analyze"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: game-analyze needs --coeffs or --marginal\n")
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

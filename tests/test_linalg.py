@@ -168,3 +168,17 @@ def test_solve_linear_refuses_ragged_rows():
 def test_solve_columns_refuses_ragged_columns():
     with pytest.raises(ValueError, match="column 1 has length 1 but b has length 2"):
         linalg.solve_columns([(1, 2), (3,)], [1, 2])
+
+
+def test_transpose_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="row 1 has length 1 but row 0 has length 2"):
+        linalg.transpose([[1, 2], [3]])
+
+
+def test_matrix_multiply_refuses_mismatched_dimensions():
+    with pytest.raises(ValueError, match="row 0 of a has length 3 but b has 2 rows"):
+        linalg.matrix_multiply([[1, 2, 3]], [[1], [2]])
+    with pytest.raises(ValueError, match="row 1 has length 1 but row 0 has length 2"):
+        linalg.matrix_multiply([[1, 2], [3]], [[1], [2]])
+    with pytest.raises(ValueError, match="row 1 has length 2 but row 0 has length 1"):
+        linalg.matrix_multiply([[1, 2]], [[1], [2, 3]])

@@ -566,3 +566,10 @@ def test_profile_validation():
         Profile(ModuleVector((1, 1, 1), [Fraction(1, 2), 0, 0, 0, 0, 0]))
     p = Profile.from_ballots((1, 1, 1), [(Tabloid.from_ranking((1, 2, 3)), 2), ([[1], [2], [3]], 1)])
     assert p.counts[0] == 3
+
+
+@pytest.mark.parametrize("count", [2.7, Fraction(3, 2), True, -3], ids=repr)
+def test_from_ballots_refuses_counts_that_are_not_nonnegative_ints(count):
+    x = Tabloid.from_ranking((2, 1, 3))
+    with pytest.raises(ValueError, match=r"ballot #1: count .* is not a nonnegative integer"):
+        Profile.from_ballots((1, 1, 1), [(x, 5), (x, count)])

@@ -2,12 +2,16 @@
 
 Inputs are seeded random rationals with negative values and non-unit
 denominators; every comparison is an exact equality with the oracles in
-voting_oracles.py and index_oracles.py.
+voting_oracles.py and index_oracles.py.  The rank-indexed results
+(`RankingScores`, `act_vector`, word ranking and the word renderer) are
+checked against the Tabloid-based code they replaced in the same way, and
+the CLI may build one Tabloid per ballot entry and no more.
 """
 
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm
 
 import index_oracles as index_oracle
@@ -16,7 +20,15 @@ import voting_oracles as oracle
 
 from tabloids import core, linalg, specht, voting
 from tabloids.cli import main
-from tabloids.core import Composition, ModuleVector, full_ranking_shape, pair_shape
+from tabloids.core import (
+    Composition,
+    ModuleVector,
+    Permutation,
+    ShapeMismatchError,
+    Tabloid,
+    full_ranking_shape,
+    pair_shape,
+)
 
 SIZES = range(2, 8)
 
@@ -225,6 +237,10 @@ def test_operators_build_no_tabloids(monkeypatch):
     voting.pairs_map(f)
     voting.pairs_map_adjoint(g)
     voting.construct_profile(ws, targets, integer_profile=True)
+    z = random_vector(rng, shape, support=20)
+    for result in (voting.kemeny_apply(f), voting.family_apply((1, 2, 3), f),
+                   voting.srsf_apply(z, f), voting.positional_tally(voting.borda_weights(n), f)):
+        result.ordinal_signature()
 
 
 UNRANK_SHAPES = [(1,) * n for n in range(1, 8)] + [(2, 3), (1, 4), (3, 2, 2), (2, 1, 2), (1, 1, 3)]
@@ -239,3 +255,97 @@ def test_unrank_word_matches_oracle(parts):
     for bad in (-1, total):
         with pytest.raises(ValueError, match="out of range"):
             core.unrank_word(parts, bad)
+
+
+@pytest.mark.parametrize("parts", UNRANK_SHAPES, ids=str)
+def test_word_rank_inverts_unrank_word(parts):
+    for r, word in enumerate(core.iter_words(parts)):
+        assert core._word_rank(parts, word) == r
+        # the entries of a row may come in any order
+        rows = [word[end - p : end][::-1] for p, end in zip(parts, accumulate(parts))]
+        assert core._word_rank(parts, [e for row in rows for e in row]) == r
+        x = core.unrank(parts, r)
+        assert core.lex_rank(x) == index_oracle.lex_rank(x) == r
+
+
+@pytest.mark.parametrize("parts", UNRANK_SHAPES, ids=str)
+def test_act_vector_matches_oracle(parts):
+    rng = random.Random(f"act_vector{parts}")
+    shape = Composition(parts)
+    for support, relabellings in ((None, 1), (3, 3)):
+        f = random_vector(rng, shape, support)
+        for _ in range(relabellings):
+            sigma = Permutation(rng.sample(range(1, shape.n + 1), shape.n))
+            assert core.act_vector(sigma, f) == index_oracle.act_vector(sigma, f)
+
+
+RENDER_SHAPES = sorted(
+    {(1,) * n for n in range(1, 7)} | {(1, n - 1) for n in range(2, 7)}
+    | {(2, n - 2) for n in range(3, 7)} | {(3, 2, 2)}
+)
+
+
+@pytest.mark.parametrize("parts", RENDER_SHAPES, ids=str)
+def test_word_renderer_matches_tabloid_str(parts):
+    for word in core.iter_words(parts):
+        x = Tabloid(word[end - p : end] for p, end in zip(parts, accumulate(parts)))
+        assert core._format_word(parts, word) == str(x) == index_oracle.tabloid_str(x)
+
+
+TIED_VALUES = [Fraction(v) for v in ("-3/2", "0", "1/3", "2", "7/5")]
+SCORE_SHAPES = sorted({(1,) * n for n in range(2, 8)} | {(1, n - 1) for n in range(2, 8)})
+
+
+@pytest.mark.parametrize("parts", SCORE_SHAPES, ids=str)
+def test_ranking_scores_match_oracle(parts):
+    rng = random.Random(f"ranking_scores{parts}")
+    shape = Composition(parts)
+    size = shape.tabloid_count()
+    for values in (TIED_VALUES, TIED_VALUES[:1]):
+        scores = ModuleVector(shape, [rng.choice(values) for _ in range(size)])
+        new, old = voting.RankingScores(scores), oracle.RankingScores(scores)
+        signature = old.ordinal_signature()
+        assert new.ordinal_signature() == signature
+        assert new.ranks == tuple(
+            tuple(r for r in range(size) if signature[r] == i) for i in range(len(old.tiers))
+        )
+        assert new.tiers == old.tiers
+        assert new.winners == old.winners
+        for r in rng.sample(range(size), min(size, 25)):
+            x = core.unrank(shape, r)
+            assert new.tier_of(x) == old.tier_of(x)
+        foreign = Tabloid.first((1,) * (shape.n + 1))
+        for result in (new, old):
+            with pytest.raises(ValueError):
+                result.tier_of(foreign)
+        if len(parts) == 2:
+            assert new.winner_candidates() == old.winner_candidates()
+        else:
+            with pytest.raises(ShapeMismatchError):
+                new.winner_candidates()
+
+
+@pytest.mark.parametrize("command", [
+    ["kemeny"], ["family", "--gamma0", "1", "--gamma1", "1/2", "--gamma2", "3"], ["tally"],
+], ids=lambda argv: argv[0])
+def test_cli_builds_one_tabloid_per_ballot_entry(monkeypatch, tmp_path, capsys, command):
+    orders = [(1, 2, 3, 4, 5), (2, 1, 4, 3, 5), (5, 3, 4, 1, 2), (1, 2, 3, 4, 5)]
+    as_json = tmp_path / "b.json"
+    as_json.write_text(json.dumps({"n": 5, "ballots": [
+        {"ranking": [[e] for e in order], "count": 2} for order in orders
+    ]}), encoding="utf-8")
+    as_csv = tmp_path / "b.csv"
+    as_csv.write_text("".join(">".join(map(str, o)) + ",2\n" for o in orders), encoding="utf-8")
+    built = [0]
+    original = core.Tabloid.__init__
+
+    def counted(self, rows):
+        built[0] += 1
+        original(self, rows)
+
+    monkeypatch.setattr(core.Tabloid, "__init__", counted)
+    for path in (as_json, as_csv):
+        built[0] = 0
+        assert main([command[0], str(path), *command[1:], "--format", "pretty"]) == 0
+        assert built[0] == len(orders)
+        assert capsys.readouterr().out.startswith(command[0])

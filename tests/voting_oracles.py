@@ -4,6 +4,7 @@ These are the straightforward loops the word kernel in `tabloids.voting`
 replaced: each visits a `Tabloid` per entry (via `unrank` or
 `cached_tabloids`) and accumulates `Fraction`s.  They are slow and build
 n!-sized tables, so they are used only to check the kernel on small n.
+`RankingScores` is the result object that kept one `Tabloid` per entry.
 """
 
 from fractions import Fraction
@@ -11,15 +12,62 @@ from fractions import Fraction
 from tabloids import specht
 from tabloids.core import (
     ModuleVector,
+    ShapeMismatchError,
     cached_tabloids,
     candidate_shape,
+    enumerate_tabloids,
     full_ranking_shape,
     pair_shape,
     unrank,
 )
 from tabloids.voting import _row_weights, borda_weights, pair_rank
 
+from index_oracles import lex_rank
 from linalg_oracles import solve_linear
+
+
+class RankingScores:
+    """Scores plus the derived winner set and tie-aware ordinal tiers.
+
+    `tiers[k]` holds the tabloids with the k-th highest distinct score, in
+    lexicographic rank order, so every tabloid of the shape is in one tier.
+    """
+
+    __slots__ = ("scores", "winners", "tiers")
+
+    def __init__(self, scores):
+        dense = scores.to_list()
+        by_value = {}
+        for x, v in zip(enumerate_tabloids(scores.shape), dense):
+            by_value.setdefault(v, []).append(x)
+        tiers = tuple(tuple(by_value[v]) for v in sorted(by_value, reverse=True))
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "tiers", tiers)
+        object.__setattr__(self, "winners", frozenset(tiers[0]) if tiers else frozenset())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RankingScores is immutable")
+
+    def tier_of(self, x):
+        for i, tier in enumerate(self.tiers):
+            if x in tier:
+                return i
+        raise ValueError(f"{x} not indexed by these scores")
+
+    def ordinal_signature(self):
+        """Tier index per lexicographic rank; equal iff ordinal outcomes agree."""
+        sig = [0] * self.scores.size
+        for i, tier in enumerate(self.tiers):
+            for x in tier:
+                sig[lex_rank(x)] = i
+        return tuple(sig)
+
+    def winner_candidates(self):
+        """Winning candidate labels, for per-candidate score shapes."""
+        parts = self.scores.shape.parts
+        if len(parts) != 2 or parts[0] != 1:
+            raise ShapeMismatchError("winner_candidates needs shape (1, n-1)")
+        return tuple(sorted(x.rows[0][0] for x in self.winners))
 
 
 def tally_scores(w, vec):
